@@ -1,16 +1,13 @@
 //! The unified request API: one typed entry point for everything the
 //! system can be asked to do.
 //!
-//! Before this module, each capability had its own free-function family
-//! (`prove_rule`/`_cached`/`_with`/`_session`,
-//! `optimize_query`/`_cached`/`_session`) and each front end — the CLI
-//! subcommands, the `.dop` script runner, the batch engine — wired the
-//! caches and sessions together by hand. No wire protocol can sanely
-//! expose seven entry points, so the families collapse here:
+//! Each capability has one entry point here, and every front end — the
+//! CLI subcommands, the `.dop` script runner, the batch engine, and the
+//! `dopcert serve` daemon — routes through it:
 //!
 //! - [`Prover`] / [`Planner`] own the per-worker state (normalization
 //!   cache plus optional persistent session) and expose *one* method
-//!   each. The old free functions survive as deprecated shims.
+//!   each. Which state a call runs on is decided once, at construction.
 //! - [`Request`] / [`Response`] are the typed request values every
 //!   front end routes through: the CLI builds a `Request` from its
 //!   flags, the script runner from a parsed [`Script`], and the
@@ -134,8 +131,6 @@ pub struct RequestOptions {
     pub session: bool,
     /// Worker threads for batch subcommands (`None` = all cores).
     pub jobs: Option<usize>,
-    /// Whether batch workers share one striped normalization memo.
-    pub shared_cache: bool,
     /// Whether the certified optimizer's plan search may use mined
     /// rewrite rules (`--mined-rules`). Off by default: with the flag
     /// off, every prove/optimize output is bit-identical to a build
@@ -151,7 +146,6 @@ impl Default for RequestOptions {
             budget: BudgetSpec::default(),
             session: true,
             jobs: None,
-            shared_cache: true,
             mined_rules: false,
         }
     }
@@ -176,7 +170,6 @@ impl RequestOptions {
             None => crate::engine::EngineConfig::default(),
         };
         config.prove = self.prove_options(script_budget);
-        config.shared_cache = self.shared_cache;
         config.mined = self.mined_rules.then(default_mined_catalog);
         crate::engine::Engine::with_config(config)
     }
@@ -619,9 +612,8 @@ fn render_discoveries(found: &[Discovery]) -> Vec<String> {
 }
 
 /// Per-worker proving state: one normalization cache plus (per
-/// options) one persistent [`ProveSession`]. The collapsed form of the
-/// old `prove_rule{,_cached,_with,_session}` family — which state a
-/// call runs on is decided once, at construction.
+/// options) one persistent [`ProveSession`]. Which state a call runs on
+/// is decided once, at construction.
 #[derive(Debug)]
 pub struct Prover {
     pub(crate) cache: NormCache,
@@ -632,14 +624,8 @@ pub struct Prover {
 impl Prover {
     /// A prover on fresh state (session iff `opts.session`).
     pub fn new(opts: ProveOptions) -> Prover {
-        Prover::with_cache(NormCache::new(), opts)
-    }
-
-    /// A prover over a pre-seeded cache — the batch engine hands each
-    /// worker a cache cloned from the shared interner snapshot.
-    pub fn with_cache(cache: NormCache, opts: ProveOptions) -> Prover {
         Prover {
-            cache,
+            cache: NormCache::new(),
             session: opts.session.then(|| ProveSession::new(opts)),
             opts,
         }
@@ -703,8 +689,7 @@ impl Prover {
     }
 }
 
-/// One-shot rule verification on fresh state — the collapsed form of
-/// the old `prove_rule` free function.
+/// One-shot rule verification on fresh state.
 pub fn prove_rule(rule: &Rule) -> RuleReport {
     // No session: a one-shot call has nothing to memoize across.
     Prover::new(ProveOptions {
@@ -715,8 +700,7 @@ pub fn prove_rule(rule: &Rule) -> RuleReport {
 }
 
 /// Per-worker planning state: one normalization cache plus (per
-/// options) one persistent [`PlanSession`] — the collapsed form of the
-/// old `optimize_query{,_cached,_session}` family.
+/// options) one persistent [`PlanSession`].
 #[derive(Debug)]
 pub struct Planner {
     cache: NormCache,
@@ -728,13 +712,8 @@ pub struct Planner {
 impl Planner {
     /// A planner on fresh state (session iff `opts.session`).
     pub fn new(opts: ProveOptions) -> Planner {
-        Planner::with_cache(NormCache::new(), opts)
-    }
-
-    /// A planner over a pre-seeded cache (see [`Prover::with_cache`]).
-    pub fn with_cache(cache: NormCache, opts: ProveOptions) -> Planner {
         Planner {
-            cache,
+            cache: NormCache::new(),
             session: opts.session.then(|| PlanSession::new(opts.budget)),
             budget: opts.budget,
             mined: None,
@@ -986,8 +965,8 @@ impl Workspace {
                 Response::Mined(summary)
             }
             // Catalog/discovery runs are engine-shaped (their own
-            // worker pool and warm snapshot); resident state would buy
-            // nothing, so they always run fresh.
+            // worker pool); resident state would buy nothing, so they
+            // always run fresh.
             _ => execute(req),
         }
     }

@@ -2,27 +2,22 @@
 //! catalogs across CPU cores.
 //!
 //! The sequential pipeline (`for rule in rules { prove_rule(rule) }`)
-//! leaves every core but one idle and re-normalizes the same denotation
-//! fragments for every rule. This module fixes both:
+//! leaves every core but one idle. This module distributes the work:
+//! rules, queries, or goal pairs go to a scoped worker pool
+//! (`std::thread`; the environment has no third-party crates, so the
+//! work-stealing is a simple shared atomic cursor — ideal for this
+//! catalog-shaped workload of few, coarse, unevenly-sized tasks).
 //!
-//! - **Parallelism** — rules are distributed over a scoped worker pool
-//!   (`std::thread`; the environment has no third-party crates, so the
-//!   work-stealing is a simple shared atomic cursor — ideal for this
-//!   catalog-shaped workload of few, coarse, unevenly-sized tasks).
-//! - **Sharing** — before the workers start, every catalog rule's
-//!   denotation is interned into one [`Interner`], which is then frozen
-//!   into a lock-free [`InternerSnapshot`]. Each worker clones the
-//!   snapshot once into a private [`NormCache`] and keeps it for all the
-//!   rules it proves, so structurally shared subterms normalize once per
-//!   worker instead of once per occurrence. On top of the cache, each
-//!   worker keeps ONE persistent state value for its whole shard (an
-//!   [`api::Prover`](crate::api::Prover) for proving, an
-//!   [`api::Planner`](crate::api::Planner) for optimizing — each owning
-//!   its session unless `prove.session` is off): verdicts, plans, and
-//!   certificates are memoized across the shard's goals, and every
-//!   saturation goal seeds the session's shared multi-seed e-graph.
-//!   Session answers are byte-identical to fresh-solver mode by
-//!   construction.
+//! Each worker builds ONE state value and keeps it for every item it
+//! claims: an [`api::Prover`](crate::api::Prover) for proving, an
+//! [`api::Planner`](crate::api::Planner) for optimizing. That state owns
+//! a private [`NormCache`], so structurally shared subterms normalize
+//! once per worker instead of once per occurrence, and (unless
+//! `prove.session` is off) a persistent session: verdicts, plans, and
+//! certificates are memoized across the worker's goals, and every
+//! saturation goal seeds the session's shared multi-seed e-graph.
+//! Session answers are byte-identical to fresh-solver mode by
+//! construction.
 //!
 //! Determinism: every worker uses its own [`VarGen`] (created per rule
 //! inside the prover, exactly as on the sequential path), and reports
@@ -31,12 +26,12 @@
 //! loop — same verdicts, methods, and step counts (wall-clock fields
 //! excepted) — which `tests/engine.rs` asserts for the full catalog.
 //!
-//! [`Interner`]: uninomial::Interner
+//! [`NormCache`]: uninomial::NormCache
 //! [`VarGen`]: uninomial::VarGen
 
 use crate::api::{Planner, Prover};
 use crate::difftest::{differential_test, DiffOutcome};
-use crate::prove::{denote_instance, ProveOptions, RuleReport, VerifyMethod};
+use crate::prove::{ProveOptions, RuleReport, VerifyMethod};
 use crate::rule::{Rule, RuleInstance};
 use hottsql::ast::Query;
 use hottsql::env::QueryEnv;
@@ -45,27 +40,16 @@ use relalg::stats::Statistics;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use uninomial::normalize::{normalization_input, NormCache, SharedMemo};
-use uninomial::syntax::intern::{Interner, InternerSnapshot};
-use uninomial::syntax::VarGen;
 
 /// Tuning for the batch engine.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker threads. Defaults to the machine's available parallelism.
     pub threads: NonZeroUsize,
-    /// Whether to pre-intern every rule denotation into the shared
-    /// snapshot before starting the workers (on by default; costs one
-    /// sequential denotation pass, saves re-interning in every worker).
-    pub warm_interner: bool,
     /// Verification options for every rule: by default the tactics run
     /// first and equality saturation is the fallback when they fail,
     /// reported as the distinct [`crate::prove::VerifyMethod::Saturation`].
     pub prove: ProveOptions,
-    /// Whether workers share one striped memo table for the
-    /// normalization of snapshot-interned subterms (on by default; the
-    /// `--no-shared-cache` escape hatch turns it off).
-    pub shared_cache: bool,
     /// Mined rewrite rules for every worker's plan search
     /// (`--mined-rules`). `None` (the default) keeps optimization
     /// bit-identical to a build without the mining subsystem.
@@ -77,9 +61,7 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: std::thread::available_parallelism()
                 .unwrap_or(NonZeroUsize::new(1).expect("1 is nonzero")),
-            warm_interner: true,
             prove: ProveOptions::default(),
-            shared_cache: true,
             mined: None,
         }
     }
@@ -95,8 +77,8 @@ impl EngineConfig {
     }
 }
 
-/// The batch proving engine. Construction is cheap; the interner
-/// snapshot is built lazily per batch from the rules it is given.
+/// The batch proving engine. Construction is cheap; every batch builds
+/// its worker states afresh.
 #[derive(Clone, Debug, Default)]
 pub struct Engine {
     config: EngineConfig,
@@ -142,42 +124,19 @@ impl Engine {
         self.config.threads.get()
     }
 
-    /// Builds the frozen interner snapshot shared by all workers: for
-    /// every rule, the exact normalization-input trees
-    /// ([`uninomial::normalize::normalization_input`] over the same
-    /// `VarGen` stream the prover uses) — seeding the raw denotations
-    /// instead would produce nodes the workers never match, because
-    /// normalization refreshes every binder first. With a single worker
-    /// the pass is skipped — there is nobody to share the snapshot
-    /// with, and the lone worker interns on the fly anyway.
-    fn seed_snapshot(&self, rules: &[Rule]) -> InternerSnapshot {
-        let mut interner = Interner::new();
-        if self.config.warm_interner && self.threads() > 1 {
-            for rule in rules {
-                if let Ok((el, er, mut gen)) = denote_instance(&rule.generic()) {
-                    interner.intern(&normalization_input(&el, &mut gen));
-                    interner.intern(&normalization_input(&er, &mut gen));
-                }
-            }
-        }
-        interner.snapshot()
-    }
-
     /// Proves every rule of the catalog in parallel, returning reports
     /// in catalog order. Verdicts, methods, and step counts are
     /// identical to running [`crate::api::prove_rule`] sequentially.
     /// Each worker is one [`crate::api::Prover`] for its whole shard —
-    /// snapshot-seeded cache plus (unless `prove.session` is off) the
+    /// its normalization cache plus (unless `prove.session` is off) the
     /// persistent session with memoized verdicts and the multi-seed
     /// discovery graph — with answers byte-identical to the
     /// sessionless path.
     pub fn prove_catalog(&self, rules: &[Rule]) -> Vec<RuleReport> {
-        let snapshot = self.seed_snapshot(rules);
         let opts = self.config.prove;
         self.par_map(
             rules,
-            &snapshot,
-            |cache| Prover::with_cache(cache, opts),
+            || Prover::new(opts),
             |rule, prover| prover.prove_rule(rule),
         )
     }
@@ -190,13 +149,10 @@ impl Engine {
         trials: usize,
         base_seed: u64,
     ) -> Vec<(String, DiffOutcome)> {
-        // Difftest evaluates concrete instances — the normalizer cache
-        // is idle here, but the same pool machinery applies.
-        let snapshot = Interner::new().snapshot();
+        // Difftest evaluates concrete instances: no per-worker state.
         self.par_map(
             rules,
-            &snapshot,
-            |_cache| (),
+            || (),
             |rule, _state| {
                 (
                     rule.name.to_owned(),
@@ -214,12 +170,10 @@ impl Engine {
     /// `script::run_catalog` loop this replaces). Returns
     /// `(name, passed)` in catalog order.
     pub fn check_catalog(&self, rules: &[Rule]) -> Vec<(String, bool)> {
-        let snapshot = self.seed_snapshot(rules);
         let opts = self.config.prove;
         self.par_map(
             rules,
-            &snapshot,
-            |cache| Prover::with_cache(cache, opts),
+            || Prover::new(opts),
             |rule, prover| {
                 let report = prover.prove_rule(rule);
                 let ok = report.proved == rule.expected_sound
@@ -230,29 +184,10 @@ impl Engine {
         )
     }
 
-    /// Warm snapshot for a query batch: every query's denotation is
-    /// interned over the same fresh-`VarGen` stream the optimizer
-    /// consumes, so workers hit the shared prefix on their first
-    /// normalization.
-    fn seed_query_snapshot(&self, env: &QueryEnv, queries: &[Query]) -> InternerSnapshot {
-        let mut interner = Interner::new();
-        if self.config.warm_interner && self.threads() > 1 {
-            for q in queries {
-                let mut gen = VarGen::new();
-                if let Ok((_, e)) = hottsql::denote::denote_closed_query(q, env, &mut gen) {
-                    interner.intern(&normalization_input(&e, &mut gen));
-                }
-            }
-        }
-        interner.snapshot()
-    }
-
     /// Optimizes a batch of closed queries in parallel with the
     /// certified optimizer, returning reports in input order. Budget
-    /// comes from the engine's prove options; the interner snapshot and
-    /// (unless disabled) the striped [`SharedMemo`] are shared across
-    /// workers exactly as in [`Engine::prove_catalog`]. Each worker is
-    /// one [`crate::api::Planner`]; reports are identical to calling
+    /// comes from the engine's prove options. Each worker is one
+    /// [`crate::api::Planner`]; reports are identical to calling
     /// [`optimizer::optimize`] sequentially on fresh state.
     pub fn optimize_batch(
         &self,
@@ -260,14 +195,12 @@ impl Engine {
         stats: &Statistics,
         queries: &[Query],
     ) -> Vec<Result<OptimizeReport, OptimizeError>> {
-        let snapshot = self.seed_query_snapshot(env, queries);
         let opts = self.config.prove;
-        let mined = self.config.mined.clone();
+        let mined = &self.config.mined;
         self.par_map(
             queries,
-            &snapshot,
-            |cache| {
-                let mut planner = Planner::with_cache(cache, opts);
+            || {
+                let mut planner = Planner::new(opts);
                 planner.set_mined_rules(mined.clone());
                 planner
             },
@@ -275,34 +208,16 @@ impl Engine {
         )
     }
 
-    /// Warm snapshot for a pair batch: both sides of every goal are
-    /// denoted over the same fresh-`VarGen` stream the verifier uses.
-    fn seed_pair_snapshot(&self, env: &QueryEnv, pairs: &[(Query, Query)]) -> InternerSnapshot {
-        let mut interner = Interner::new();
-        if self.config.warm_interner && self.threads() > 1 {
-            for (l, r) in pairs {
-                let inst = RuleInstance::plain(env.clone(), l.clone(), r.clone());
-                if let Ok((el, er, mut gen)) = denote_instance(&inst) {
-                    interner.intern(&normalization_input(&el, &mut gen));
-                    interner.intern(&normalization_input(&er, &mut gen));
-                }
-            }
-        }
-        interner.snapshot()
-    }
-
     /// Batch-proves arbitrary query pairs in parallel — the traffic-
     /// scale entry point behind the `session_vs_fresh` BENCH series.
-    /// Each worker keeps one [`ProveSession`] for its shard (unless
-    /// `prove.session` is off); reports land in input order and are
-    /// identical to verifying each pair alone.
+    /// Each worker keeps one [`crate::api::Prover`] for its shard;
+    /// reports land in input order and are identical to verifying each
+    /// pair alone.
     pub fn prove_pairs(&self, env: &QueryEnv, pairs: &[(Query, Query)]) -> Vec<PairReport> {
-        let snapshot = self.seed_pair_snapshot(env, pairs);
         let opts = self.config.prove;
         self.par_map(
             pairs,
-            &snapshot,
-            |cache| Prover::with_cache(cache, opts),
+            || Prover::new(opts),
             |(l, r), prover| {
                 let inst = RuleInstance::plain(env.clone(), l.clone(), r.clone());
                 match prover.verify_instance(&inst) {
@@ -323,26 +238,15 @@ impl Engine {
 
     /// Order-preserving parallel map over a work list: a shared atomic
     /// cursor hands out indices, each worker builds ONE state value
-    /// from a [`NormCache`] seeded off the frozen snapshot (`mk_state`
-    /// — an [`api::Prover`](crate::api::Prover), an
-    /// [`api::Planner`](crate::api::Planner), or `()` for cache-free
-    /// work), and results land in their input slots. Unless disabled,
-    /// workers additionally share one `Mutex`-striped [`SharedMemo`]
-    /// covering the snapshot-prefix ids, so a denotation fragment
-    /// common to several items normalizes once per *batch* rather than
-    /// once per worker — with results and traces bit-identical to the
-    /// unshared path.
-    fn par_map<T, S, R, F, M>(
-        &self,
-        items: &[T],
-        snapshot: &InternerSnapshot,
-        mk_state: M,
-        f: F,
-    ) -> Vec<R>
+    /// with `mk_state` (an [`api::Prover`](crate::api::Prover), an
+    /// [`api::Planner`](crate::api::Planner), or `()` for stateless
+    /// work) and threads it through every item it claims, and results
+    /// land in their input slots.
+    fn par_map<T, S, R, F, M>(&self, items: &[T], mk_state: M, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
-        M: Fn(NormCache) -> S + Sync,
+        M: Fn() -> S + Sync,
         F: Fn(&T, &mut S) -> R + Sync,
     {
         let threads = self.threads().min(items.len().max(1));
@@ -350,31 +254,20 @@ impl Engine {
             // Degenerate pool: run inline (still through the worker
             // state, so single-threaded callers get the memoization
             // win).
-            let mut state = mk_state(NormCache::from_interner((**snapshot).clone()));
+            let mut state = mk_state();
             return items.iter().map(|r| f(r, &mut state)).collect();
         }
-        let shared_memo = self
-            .config
-            .shared_cache
-            .then(|| SharedMemo::for_snapshot(snapshot, 4 * threads));
         let cursor = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let shared_memo = shared_memo.clone();
                 let (cursor, slots, f, mk_state) = (&cursor, &slots, &f, &mk_state);
                 scope.spawn(move || {
                     // Per-worker state: a private VarGen lives inside
                     // each prove call; the cache and session inside the
                     // state persist across the items this worker
                     // claims.
-                    let cache = match shared_memo {
-                        Some(shared) => {
-                            NormCache::from_interner_shared((**snapshot).clone(), shared)
-                        }
-                        None => NormCache::from_interner((**snapshot).clone()),
-                    };
-                    let mut state = mk_state(cache);
+                    let mut state = mk_state();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else { break };

@@ -100,40 +100,6 @@ pub struct RuleReport {
     pub failure: Option<String>,
 }
 
-/// Verifies a rule with the appropriate procedure (default options:
-/// tactics with saturation fallback).
-#[deprecated(note = "use `dopcert::api::prove_rule` (or an `api::Prover` for batches)")]
-pub fn prove_rule(rule: &Rule) -> RuleReport {
-    prove_rule_on(rule, None, None, ProveOptions::default())
-}
-
-/// [`api::prove_rule`](crate::api::prove_rule) with memoized
-/// normalization through a reusable [`NormCache`].
-#[deprecated(note = "use an `api::Prover` (it owns the cache)")]
-pub fn prove_rule_cached(rule: &Rule, cache: &mut NormCache) -> RuleReport {
-    prove_rule_on(rule, Some(cache), None, ProveOptions::default())
-}
-
-/// [`prove_rule_cached`] with explicit verification options.
-#[deprecated(note = "use an `api::Prover` built with the options")]
-#[allow(deprecated)]
-pub fn prove_rule_with(rule: &Rule, cache: &mut NormCache, opts: ProveOptions) -> RuleReport {
-    prove_rule_on(rule, Some(cache), None, opts)
-}
-
-/// [`prove_rule_with`] through a persistent per-worker
-/// [`ProveSession`].
-#[deprecated(note = "use an `api::Prover` (it owns the session)")]
-#[allow(deprecated)]
-pub fn prove_rule_session(
-    rule: &Rule,
-    cache: &mut NormCache,
-    session: Option<&mut ProveSession>,
-    opts: ProveOptions,
-) -> RuleReport {
-    prove_rule_on(rule, Some(cache), session, opts)
-}
-
 /// The one rule-verification pipeline all entry points share; which
 /// state it runs on is the caller's choice ([`crate::api::Prover`]
 /// makes it once, at construction). Verdict, method, and step count
@@ -209,14 +175,12 @@ pub fn prove_instance(inst: &RuleInstance) -> Result<(Method, usize), String> {
     prove_instance_impl(inst, None)
 }
 
-/// Denotes both sides of an instance without proving anything — used by
-/// the batch engine to pre-seed the shared interner snapshot with every
-/// catalog denotation before the workers start.
+/// Denotes both sides of an instance without proving anything.
 ///
 /// Returns the [`VarGen`] alongside the denotations: its state matches
 /// what [`prove_instance`] holds when it reaches normalization (same
-/// fresh-variable stream, consumed in the same order), which lets the
-/// engine's warm pass reproduce the exact trees the workers intern.
+/// fresh-variable stream, consumed in the same order), so a caller can
+/// reproduce the exact trees the prover normalizes.
 ///
 /// # Errors
 ///

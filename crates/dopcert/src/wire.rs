@@ -14,7 +14,7 @@
 //!  "script": "table R(int); verify R == R;",
 //!  "saturate": "fallback", "session": true,
 //!  "budget": {"iters": 24, "nodes": 10000, "oracle-calls": 64},
-//!  "jobs": 2, "shared-cache": true, "discover": false}
+//!  "jobs": 2, "discover": false}
 //! ```
 //!
 //! `cmd` is required: `check`, `prove`, `optimize`, `catalog`,
@@ -164,15 +164,22 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. The codec
+/// itself never emits more than six levels; the cap keeps the recursive
+/// parser's stack use bounded, so a hostile line such as 200 KB of `[`
+/// gets an error instead of overflowing a daemon thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value, rejecting trailing garbage.
 ///
 /// # Errors
 ///
-/// Returns a position-annotated description of the first problem.
+/// Returns a position-annotated description of the first problem,
+/// including nesting deeper than 128 levels.
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(input, bytes, &mut pos)?;
+    let value = parse_value(input, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -190,10 +197,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing
+/// arrays/objects.
+fn parse_value(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut map = BTreeMap::new();
@@ -204,7 +216,7 @@ fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(input, bytes, pos)? {
+                let key = match parse_value(input, bytes, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key must be a string at byte {pos}")),
                 };
@@ -213,7 +225,7 @@ fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(input, bytes, pos)?;
+                let value = parse_value(input, bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -235,7 +247,7 @@ fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(input, bytes, pos)?);
+                items.push(parse_value(input, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -453,9 +465,6 @@ fn decode_options(value: &Json) -> Result<RequestOptions, String> {
                 .ok_or("jobs must be a non-negative integer")?,
         );
     }
-    if let Some(shared) = value.get("shared-cache") {
-        opts.shared_cache = shared.as_bool().ok_or("shared-cache must be a boolean")?;
-    }
     if let Some(mined) = value.get("mined-rules") {
         opts.mined_rules = mined.as_bool().ok_or("mined-rules must be a boolean")?;
     }
@@ -500,9 +509,6 @@ pub fn encode_request(id: &Json, tenant: &str, req: &Request) -> String {
         }
         if let Some(jobs) = opts.jobs {
             map.insert("jobs".to_owned(), Json::Num(jobs as f64));
-        }
-        if opts.shared_cache != defaults.shared_cache {
-            map.insert("shared-cache".to_owned(), Json::Bool(opts.shared_cache));
         }
         if opts.mined_rules != defaults.mined_rules {
             map.insert("mined-rules".to_owned(), Json::Bool(opts.mined_rules));
@@ -839,6 +845,33 @@ mod tests {
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json(r#"{"a" 1}"#).is_err());
         assert!(parse_json("1e999").is_err(), "non-finite rejected");
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // The daemon-killing line: 200 KB of `[` with no closers.
+        let hostile = "[".repeat(200_000);
+        let err = parse_json(&hostile).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(decode_request(&hostile).is_err());
+        let objects = format!(r#"{{"cmd":"stats","x":{}}}"#, "{\"a\":".repeat(MAX_DEPTH));
+        assert!(decode_request(&objects).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn retired_option_fields_decode_as_absent() {
+        // Old clients still send `shared-cache`; it no longer selects
+        // anything, so the request decodes as if it were absent.
+        let base = r#"{"cmd":"prove","id":3,"jobs":2,"script":"x""#;
+        let without = decode_request(&format!("{base}}}")).unwrap();
+        for flag in ["true", "false"] {
+            let with = decode_request(&format!(r#"{base},"shared-cache":{flag}}}"#)).unwrap();
+            assert_eq!(with, without, "shared-cache: {flag}");
+        }
     }
 
     #[test]

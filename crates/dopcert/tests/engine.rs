@@ -4,7 +4,7 @@
 //! conjunctive-query instances that take the decision-procedure path).
 
 use dopcert::api::prove_rule;
-use dopcert::engine::{Engine, EngineConfig};
+use dopcert::engine::Engine;
 use dopcert::{catalog, RuleReport};
 
 fn key(r: &RuleReport) -> (String, bool, String, usize) {
@@ -26,27 +26,6 @@ fn parallel_prove_catalog_equals_sequential_on_full_catalog() {
         assert_eq!(
             parallel, sequential,
             "{threads}-thread engine diverged from the sequential path"
-        );
-    }
-}
-
-#[test]
-fn shared_memo_preserves_verdict_identity() {
-    // The striped cross-worker memo must be invisible in the results:
-    // shared on, shared off (--no-shared-cache), and the sequential
-    // prover all agree on every verdict, method, and step count.
-    let rules = catalog::all_rules();
-    let sequential: Vec<_> = rules.iter().map(prove_rule).map(|r| key(&r)).collect();
-    for shared_cache in [true, false] {
-        let config = EngineConfig {
-            shared_cache,
-            ..EngineConfig::with_threads(4)
-        };
-        let engine = Engine::with_config(config);
-        let parallel: Vec<_> = engine.prove_catalog(&rules).iter().map(key).collect();
-        assert_eq!(
-            parallel, sequential,
-            "shared_cache={shared_cache} diverged from the sequential path"
         );
     }
 }

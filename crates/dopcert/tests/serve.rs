@@ -222,3 +222,43 @@ fn non_default_option_requests_run_fresh_and_still_match_the_baseline() {
     server.shutdown();
     server.wait();
 }
+
+#[test]
+fn hostile_nesting_and_retired_options_leave_the_daemon_answering() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut roundtrip = |line: &str| {
+        writer.write_all(line.as_bytes()).expect("write");
+        writer.write_all(b"\n").expect("write");
+        writer.flush().expect("flush");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        reply
+    };
+
+    // A 200 KB line of `[` must cost one bad-request error, not the
+    // daemon: unbounded parser recursion would overflow the connection
+    // thread's stack and abort the whole process.
+    let reply = decode_response(roundtrip(&"[".repeat(200_000)).trim()).expect("decode");
+    assert!(!reply.ok);
+    assert!(reply.error.expect("error").contains("nesting deeper than"));
+    let reply = decode_response(roundtrip(r#"{"cmd":"stats"}"#).trim()).expect("decode");
+    assert!(reply.ok, "same connection still answers: {reply:?}");
+    let reply = request_once(&addr, &Json::Null, "default", &Request::Stats).expect("request");
+    assert!(reply.ok, "new connections are still accepted: {reply:?}");
+
+    // Old clients may still send the retired `shared-cache` field: the
+    // daemon answers byte for byte as if it were absent.
+    let base = r#"{"cmd":"prove","id":4,"script":"table R(int);\nverify (R UNION ALL R) == (R UNION ALL R);""#;
+    let plain = roundtrip(&format!("{base}}}"));
+    assert!(decode_response(plain.trim()).expect("decode").ok, "{plain}");
+    for flag in ["true", "false"] {
+        let with = roundtrip(&format!(r#"{base},"shared-cache":{flag}}}"#));
+        assert_eq!(with, plain, "shared-cache: {flag}");
+    }
+    server.shutdown();
+    server.wait();
+}

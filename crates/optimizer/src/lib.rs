@@ -57,6 +57,4 @@ pub use optimize::{
     optimize, CandidateInfo, Certificate, OptimizeError, OptimizeOptions, OptimizeReport, PlanCtx,
     Route,
 };
-#[allow(deprecated)]
-pub use optimize::{optimize_query, optimize_query_cached, optimize_query_session};
 pub use session::PlanSession;

@@ -1,6 +1,6 @@
 //! The certified optimization pipeline.
 //!
-//! [`optimize_query`] takes a HoTTSQL query, denotes it (Fig. 7),
+//! [`optimize`] takes a HoTTSQL query, denotes it (Fig. 7),
 //! saturates an e-graph under the lemma-compiled rewrites, extracts the
 //! cheapest equivalent denotation under the cost model, reads it back
 //! into a plan, and — crucially — *certifies* the plan: the input and
@@ -147,11 +147,11 @@ impl std::error::Error for OptimizeError {}
 
 /// The normalization/session context an [`optimize`] call runs in.
 ///
-/// Both fields are optional, so the one entry point covers the whole
-/// old variant family: `PlanCtx::default()` is the fresh path, a cache
-/// alone is the old `_cached` path, and cache + session is the old
-/// `_session` path. Borrowed (not owned) so a batch worker can thread
-/// its long-lived cache and session through many calls.
+/// Every field is optional, so the one entry point covers every path:
+/// `PlanCtx::default()` is the fresh path, a cache alone memoizes
+/// normalization, and [`PlanCtx::session`] adds the persistent session.
+/// Borrowed (not owned) so a batch worker can thread its long-lived
+/// cache and session through many calls.
 #[derive(Debug, Default)]
 pub struct PlanCtx<'a> {
     /// Memoized normalization. Reports are identical with or without
@@ -170,15 +170,6 @@ pub struct PlanCtx<'a> {
 }
 
 impl<'a> PlanCtx<'a> {
-    /// A context with memoized normalization only.
-    pub fn cached(cache: &'a mut NormCache) -> PlanCtx<'a> {
-        PlanCtx {
-            cache: Some(cache),
-            session: None,
-            mined: None,
-        }
-    }
-
     /// A full session context: memoized normalization plus the
     /// persistent per-worker [`PlanSession`].
     pub fn session(cache: &'a mut NormCache, session: &'a mut PlanSession) -> PlanCtx<'a> {
@@ -248,55 +239,6 @@ pub fn optimize(
         session.record_plan(q, &report);
     }
     Ok(report)
-}
-
-/// Optimizes a closed query under the given statistics.
-///
-/// # Errors
-///
-/// Returns [`OptimizeError`] when the query fails to type or denote.
-#[deprecated(note = "use `optimize` with `PlanCtx::default()`")]
-pub fn optimize_query(
-    q: &Query,
-    env: &QueryEnv,
-    stats: &Statistics,
-    opts: OptimizeOptions,
-) -> Result<OptimizeReport, OptimizeError> {
-    optimize(q, env, stats, opts, PlanCtx::default())
-}
-
-/// [`optimize`] with memoized normalization through a reusable
-/// [`NormCache`].
-///
-/// # Errors
-///
-/// Returns [`OptimizeError`] when the query fails to type or denote.
-#[deprecated(note = "use `optimize` with `PlanCtx::cached(..)`")]
-pub fn optimize_query_cached(
-    q: &Query,
-    env: &QueryEnv,
-    stats: &Statistics,
-    opts: OptimizeOptions,
-    cache: &mut NormCache,
-) -> Result<OptimizeReport, OptimizeError> {
-    optimize(q, env, stats, opts, PlanCtx::cached(cache))
-}
-
-/// [`optimize`] through a persistent per-worker [`PlanSession`].
-///
-/// # Errors
-///
-/// Returns [`OptimizeError`] when the query fails to type or denote.
-#[deprecated(note = "use `optimize` with `PlanCtx::session(..)`")]
-pub fn optimize_query_session(
-    q: &Query,
-    env: &QueryEnv,
-    stats: &Statistics,
-    opts: OptimizeOptions,
-    cache: &mut NormCache,
-    session: &mut PlanSession,
-) -> Result<OptimizeReport, OptimizeError> {
-    optimize(q, env, stats, opts, PlanCtx::session(cache, session))
 }
 
 fn optimize_query_impl(

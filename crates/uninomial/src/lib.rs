@@ -58,7 +58,7 @@ pub mod prove;
 pub mod syntax;
 
 pub use axioms::RelAxiom;
-pub use normalize::{Atom, NormCache, SharedMemo, Spnf, SpnfTerm};
+pub use normalize::{Atom, NormCache, Spnf, SpnfTerm};
 pub use prove::{prove_eq, Proof, ProofTrace, ProveError};
-pub use syntax::intern::{Interner, InternerSnapshot, TermId, UExprId};
+pub use syntax::intern::{Interner, TermId, UExprId};
 pub use syntax::{Term, UExpr, Var, VarGen};

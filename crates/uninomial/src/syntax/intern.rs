@@ -15,11 +15,9 @@
 //!   a subterm shared by many rules (or duplicated inside one rule by
 //!   `refresh_binders`-free cloning) normalizes once.
 //!
-//! The arenas only ever grow; ids are never invalidated. A frozen
-//! [`InternerSnapshot`] (an `Arc` of the whole interner) can be shared
-//! across worker threads without locking: workers clone the snapshot
-//! once and extend their private copy, which preserves every id of the
-//! snapshot (ids are indices and the arenas are append-only).
+//! The arenas only ever grow; ids are never invalidated, and a clone of
+//! an interner keeps every id it had at the time of cloning (ids are
+//! indices and the arenas are append-only).
 
 use crate::syntax::{Term, UExpr, Var};
 use relalg::Value;
@@ -37,8 +35,8 @@ pub struct UExprId(u32);
 
 impl TermId {
     /// The raw arena index. Ids are issued densely from 0, so an index
-    /// below a snapshot's `term_count` addresses the same tree in every
-    /// clone of that snapshot.
+    /// below an interner's `term_count` addresses the same tree in every
+    /// clone of that interner.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -117,10 +115,6 @@ pub struct Interner {
     uexpr_ids: HashMap<UExprNode, UExprId>,
 }
 
-/// A frozen, shareable view of an [`Interner`]: the lock-free seed the
-/// batch engine hands to each worker thread.
-pub type InternerSnapshot = Arc<Interner>;
-
 impl Interner {
     /// An empty interner.
     pub fn new() -> Interner {
@@ -135,13 +129,6 @@ impl Interner {
     /// Number of distinct interned expressions.
     pub fn uexpr_count(&self) -> usize {
         self.uexprs.len()
-    }
-
-    /// Freezes the current state into a shareable snapshot. Workers
-    /// clone the snapshot (`Interner::clone`) and extend privately; all
-    /// ids issued before the freeze remain valid in every copy.
-    pub fn snapshot(self) -> InternerSnapshot {
-        Arc::new(self)
     }
 
     fn intern_term_node(&mut self, node: TermNode) -> TermId {
@@ -480,9 +467,8 @@ mod tests {
         let t = gen.fresh(leaf_int());
         let e = UExpr::rel("R", Term::var(&t));
         let id = base.intern(&e);
-        let snap = base.snapshot();
-        let mut worker_a = (*snap).clone();
-        let mut worker_b = (*snap).clone();
+        let mut worker_a = base.clone();
+        let mut worker_b = base.clone();
         assert_eq!(worker_a.intern(&e), id);
         let new = worker_b.intern(&UExpr::pred("b", Term::var(&t)));
         assert_ne!(new, id);

@@ -195,123 +195,6 @@ fn shared_cache_across_goals_is_consistent_and_hits() {
 }
 
 #[test]
-fn shared_memo_across_workers_is_bit_identical_and_hits() {
-    // Two "workers" clone one interner snapshot and share a striped
-    // memo (the engine's shared-cache path): every result and trace
-    // must match the tree normalizer, and the second worker must serve
-    // snapshot-prefix entries from the shared table.
-    use uninomial::normalize::{normalization_input, SharedMemo};
-    use uninomial::Interner;
-
-    let exprs: Vec<UExpr> = (0..40u64)
-        .map(|seed| {
-            let mut eg = ExprGen::new(seed % 11); // overlap → shared structure
-            let scope = eg.gen.fresh(Schema::leaf(BaseType::Int));
-            eg.expr(&[scope], 3)
-        })
-        .collect();
-    // Warm pass: intern the exact normalization-input trees, as the
-    // engine's snapshot seeding does.
-    let mut interner = Interner::new();
-    for e in &exprs {
-        let mut g = VarGen::new();
-        let input = normalization_input(e, &mut g);
-        interner.intern(&input);
-    }
-    let shared = SharedMemo::for_snapshot(&interner, 4);
-    let mut worker_a = NormCache::from_interner_shared(interner.clone(), shared.clone());
-    let mut worker_b = NormCache::from_interner_shared(interner, shared.clone());
-    for (i, e) in exprs.iter().enumerate() {
-        let mut gen_tree = VarGen::new();
-        let mut tr_tree = Trace::new();
-        let nf_tree = normalize(e, &mut gen_tree, &mut tr_tree);
-        for (name, worker) in [("a", &mut worker_a), ("b", &mut worker_b)] {
-            let mut gen = VarGen::new();
-            let mut tr = Trace::new();
-            let nf = normalize_with_cache(e, &mut gen, &mut tr, worker);
-            assert_eq!(nf, nf_tree, "expr {i} worker {name}: {e}");
-            assert_eq!(tr.steps(), tr_tree.steps(), "expr {i} worker {name}: {e}");
-        }
-    }
-    assert!(!shared.is_empty(), "shared table must have entries");
-    assert!(
-        worker_b.shared_hits() > 0,
-        "worker b must hit entries worker a computed"
-    );
-}
-
-#[test]
-fn lock_free_shared_memo_matches_striped_under_concurrent_readers() {
-    // The lock-free slot-array read path must return entries
-    // byte-identical to the Mutex-striped reference — normal forms AND
-    // trace fragments — with many reader threads racing over a table
-    // one warm worker pre-published.
-    use std::sync::Arc;
-    use uninomial::normalize::{normalization_input, SharedMemo};
-    use uninomial::Interner;
-
-    let exprs: Vec<UExpr> = (0..32u64)
-        .map(|seed| {
-            let mut eg = ExprGen::new(seed % 7); // heavy overlap → shared structure
-            let scope = eg.gen.fresh(Schema::leaf(BaseType::Int));
-            eg.expr(&[scope], 3)
-        })
-        .collect();
-    let mut interner = Interner::new();
-    for e in &exprs {
-        let mut g = VarGen::new();
-        let input = normalization_input(e, &mut g);
-        interner.intern(&input);
-    }
-    let lock_free = SharedMemo::for_snapshot(&interner, 4);
-    let striped = SharedMemo::for_snapshot_striped(&interner, 4);
-    // Warm both tables with one worker each.
-    for shared in [&lock_free, &striped] {
-        let mut warm = NormCache::from_interner_shared(interner.clone(), shared.clone());
-        for e in &exprs {
-            let mut g = VarGen::new();
-            let mut tr = Trace::new();
-            normalize_with_cache(e, &mut g, &mut tr, &mut warm);
-        }
-    }
-    assert!(!lock_free.is_empty());
-    assert_eq!(lock_free.len(), striped.len(), "same entries published");
-    // Concurrent readers over the pre-published lock-free layer; each
-    // thread checks its results against the striped reference and the
-    // plain tree normalizer.
-    let exprs = Arc::new(exprs);
-    let handles: Vec<_> = (0..4)
-        .map(|t| {
-            let exprs = Arc::clone(&exprs);
-            let lock_free = lock_free.clone();
-            let striped = striped.clone();
-            let interner = interner.clone();
-            std::thread::spawn(move || {
-                let mut fast = NormCache::from_interner_shared(interner.clone(), lock_free);
-                let mut reference = NormCache::from_interner_shared(interner, striped);
-                for (i, e) in exprs.iter().enumerate() {
-                    let (mut g1, mut g2, mut g3) = (VarGen::new(), VarGen::new(), VarGen::new());
-                    let (mut t1, mut t2, mut t3) = (Trace::new(), Trace::new(), Trace::new());
-                    let nf_fast = normalize_with_cache(e, &mut g1, &mut t1, &mut fast);
-                    let nf_ref = normalize_with_cache(e, &mut g2, &mut t2, &mut reference);
-                    let nf_tree = normalize(e, &mut g3, &mut t3);
-                    assert_eq!(nf_fast, nf_ref, "thread {t} expr {i}: {e}");
-                    assert_eq!(nf_fast, nf_tree, "thread {t} expr {i}: {e}");
-                    assert_eq!(t1.steps(), t2.steps(), "thread {t} expr {i}: {e}");
-                    assert_eq!(t1.steps(), t3.steps(), "thread {t} expr {i}: {e}");
-                }
-                (fast.shared_hits(), reference.shared_hits())
-            })
-        })
-        .collect();
-    for h in handles {
-        let (fast_hits, ref_hits) = h.join().expect("reader thread");
-        assert!(fast_hits > 0, "lock-free readers must hit warm entries");
-        assert_eq!(fast_hits, ref_hits, "hit pattern must match the stripes");
-    }
-}
-
-#[test]
 fn cached_prover_agrees_with_uncached_prover() {
     use uninomial::prove::{prove_eq_cached, prove_eq_with_axioms};
     let mut cache = NormCache::new();
