@@ -187,11 +187,12 @@ fn main() -> ExitCode {
         );
     }
 
-    // Persistent sessions vs fresh solver state over a repetition-heavy
-    // generated corpus (≥1k goals sampled from a pool of distinct
-    // equivalent CQ pairs — production traffic repeats, and repetition
-    // is what the per-worker session amortizes). Verdicts must be
-    // identical; only the wall clock may differ.
+    // Persistent sessions vs fresh state per goal (one engine call
+    // each) over a repetition-heavy generated corpus (≥1k goals sampled
+    // from a pool of distinct equivalent CQ pairs — production traffic
+    // repeats, and repetition is what the per-worker session
+    // amortizes). Verdicts must be identical; only the wall clock may
+    // differ.
     {
         let goals = max_pairs.max(1000);
         let (env, pairs, distinct) = bench::session_corpus(0x005E_5510, goals, 48);

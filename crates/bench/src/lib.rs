@@ -421,21 +421,24 @@ pub fn session_corpus(
     (env, out, distinct)
 }
 
-/// Batch-proves a pair corpus through the engine with sessions on or
-/// off, returning the reports.
+/// Batch-proves a pair corpus through the engine, returning the
+/// reports. With `session` the whole corpus is one batch, so every
+/// worker's session persists across its goals; without it each pair
+/// gets its own engine call on fresh state — the reference the session
+/// path must match.
 pub fn prove_corpus(
     env: &hottsql::env::QueryEnv,
     pairs: &[(hottsql::ast::Query, hottsql::ast::Query)],
     session: bool,
 ) -> Vec<dopcert::engine::PairReport> {
-    let engine = Engine::with_config(dopcert::engine::EngineConfig {
-        prove: dopcert::prove::ProveOptions {
-            session,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    engine.prove_pairs(env, pairs)
+    let engine = Engine::new();
+    if session {
+        return engine.prove_pairs(env, pairs);
+    }
+    pairs
+        .iter()
+        .flat_map(|pair| engine.prove_pairs(env, std::slice::from_ref(pair)))
+        .collect()
 }
 
 /// Generates the Cq pair of Fig. 10 (used by both the example and the

@@ -6,8 +6,9 @@
 //! `dopcert serve` daemon — routes through it:
 //!
 //! - [`Prover`] / [`Planner`] own the per-worker state (normalization
-//!   cache plus optional persistent session) and expose *one* method
-//!   each. Which state a call runs on is decided once, at construction.
+//!   cache plus persistent session) and expose *one* method each: a
+//!   new value is fresh state, a kept one is resident state, and both
+//!   run the same pipeline.
 //! - [`Request`] / [`Response`] are the typed request values every
 //!   front end routes through: the CLI builds a `Request` from its
 //!   flags, the script runner from a parsed [`Script`], and the
@@ -118,17 +119,16 @@ impl BudgetSpec {
     }
 }
 
-/// Options carried by a [`Request`]: how to verify, on how much state.
-/// The budget is a *partial* [`BudgetSpec`] so that unset knobs fall
-/// through to the script's `budget` directives and then the defaults.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Options carried by a [`Request`]: how to verify, on how many
+/// workers. The budget is a *partial* [`BudgetSpec`] so that unset
+/// knobs fall through to the script's `budget` directives and then the
+/// defaults.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RequestOptions {
     /// When the saturation tactic runs.
     pub saturate: SaturateMode,
     /// Explicit budget overrides (highest precedence).
     pub budget: BudgetSpec,
-    /// Whether to keep a persistent session (`--no-session` off).
-    pub session: bool,
     /// Worker threads for batch subcommands (`None` = all cores).
     pub jobs: Option<usize>,
     /// Whether the certified optimizer's plan search may use mined
@@ -139,18 +139,6 @@ pub struct RequestOptions {
     pub mined_rules: bool,
 }
 
-impl Default for RequestOptions {
-    fn default() -> RequestOptions {
-        RequestOptions {
-            saturate: SaturateMode::default(),
-            budget: BudgetSpec::default(),
-            session: true,
-            jobs: None,
-            mined_rules: false,
-        }
-    }
-}
-
 impl RequestOptions {
     /// Resolves to concrete [`ProveOptions`], merging budgets by
     /// precedence: explicit request knobs over the script's `budget`
@@ -159,7 +147,6 @@ impl RequestOptions {
         ProveOptions {
             saturate: self.saturate,
             budget: self.budget.or(script_budget).apply(Budget::default()),
-            session: self.session,
         }
     }
 
@@ -611,22 +598,21 @@ fn render_discoveries(found: &[Discovery]) -> Vec<String> {
     lines
 }
 
-/// Per-worker proving state: one normalization cache plus (per
-/// options) one persistent [`ProveSession`]. Which state a call runs on
-/// is decided once, at construction.
+/// Per-worker proving state: one normalization cache plus one
+/// persistent [`ProveSession`], both kept across calls.
 #[derive(Debug)]
 pub struct Prover {
     pub(crate) cache: NormCache,
-    pub(crate) session: Option<ProveSession>,
+    pub(crate) session: ProveSession,
     pub(crate) opts: ProveOptions,
 }
 
 impl Prover {
-    /// A prover on fresh state (session iff `opts.session`).
+    /// A prover on fresh state.
     pub fn new(opts: ProveOptions) -> Prover {
         Prover {
             cache: NormCache::new(),
-            session: opts.session.then(|| ProveSession::new(opts)),
+            session: ProveSession::new(opts),
             opts,
         }
     }
@@ -640,23 +626,15 @@ impl Prover {
     /// every subsequent hit): the serve daemon polls the sink so a
     /// long-running request shows memo progress before it finishes.
     pub fn publish_hits_to(&mut self, sink: Arc<AtomicUsize>) {
-        match self.session.as_mut() {
-            Some(session) => session.publish_hits_to(sink),
-            None => sink.store(0, std::sync::atomic::Ordering::Relaxed),
-        }
+        self.session.publish_hits_to(sink);
     }
 
     /// Verifies a rule. Verdict, method, and step count are identical
-    /// whatever state the prover holds (fresh, cached, or session —
-    /// the PR 4 identity guarantee); only wall-clock differs.
+    /// whether the prover's state is fresh or warm (the session-identity
+    /// guarantee); only wall-clock differs.
     pub fn prove_rule(&mut self, rule: &Rule) -> RuleReport {
         let _span = telemetry::span("prove.rule");
-        crate::prove::prove_rule_on(
-            rule,
-            Some(&mut self.cache),
-            self.session.as_mut(),
-            self.opts,
-        )
+        crate::prove::prove_rule_on(rule, &mut self.cache, &mut self.session, self.opts)
     }
 
     /// Verifies one denoted instance (the engine's pair path).
@@ -670,12 +648,7 @@ impl Prover {
         inst: &RuleInstance,
     ) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
         let _span = telemetry::span("prove.goal");
-        crate::prove::verify_instance_session(
-            inst,
-            Some(&mut self.cache),
-            self.session.as_mut(),
-            self.opts,
-        )
+        crate::prove::verify_instance(inst, &mut self.cache, &mut self.session, self.opts)
     }
 
     /// Runs a parsed script's goals on this prover's state.
@@ -685,36 +658,31 @@ impl Prover {
 
     /// Goals answered from the session's verdict memo so far.
     pub fn memo_hits(&self) -> usize {
-        self.session.as_ref().map_or(0, ProveSession::verdict_hits)
+        self.session.verdict_hits()
     }
 }
 
 /// One-shot rule verification on fresh state.
 pub fn prove_rule(rule: &Rule) -> RuleReport {
-    // No session: a one-shot call has nothing to memoize across.
-    Prover::new(ProveOptions {
-        session: false,
-        ..ProveOptions::default()
-    })
-    .prove_rule(rule)
+    Prover::new(ProveOptions::default()).prove_rule(rule)
 }
 
-/// Per-worker planning state: one normalization cache plus (per
-/// options) one persistent [`PlanSession`].
+/// Per-worker planning state: one normalization cache plus one
+/// persistent [`PlanSession`], both kept across calls.
 #[derive(Debug)]
 pub struct Planner {
     cache: NormCache,
-    session: Option<PlanSession>,
+    session: PlanSession,
     budget: Budget,
     mined: Option<Arc<Vec<egraph::MinedRule>>>,
 }
 
 impl Planner {
-    /// A planner on fresh state (session iff `opts.session`).
+    /// A planner on fresh state.
     pub fn new(opts: ProveOptions) -> Planner {
         Planner {
             cache: NormCache::new(),
-            session: opts.session.then(|| PlanSession::new(opts.budget)),
+            session: PlanSession::new(opts.budget),
             budget: opts.budget,
             mined: None,
         }
@@ -734,7 +702,7 @@ impl Planner {
     }
 
     /// Optimizes one query on this planner's state. Reports are
-    /// identical whatever state the planner holds.
+    /// identical whether that state is fresh or warm.
     ///
     /// # Errors
     ///
@@ -753,26 +721,19 @@ impl Planner {
             OptimizeOptions {
                 budget: self.budget,
             },
-            PlanCtx {
-                cache: Some(&mut self.cache),
-                session: self.session.as_mut(),
-                mined: self.mined.as_ref(),
-            },
+            PlanCtx::session(&mut self.cache, &mut self.session).with_mined(self.mined.as_ref()),
         )
     }
 
     /// Queries answered from the session's plan memo so far.
     pub fn memo_hits(&self) -> usize {
-        self.session.as_ref().map_or(0, PlanSession::plan_hits)
+        self.session.plan_hits()
     }
 
     /// Routes the session's live plan-memo hit count into `sink` (see
     /// [`Prover::publish_hits_to`]).
     pub fn publish_hits_to(&mut self, sink: Arc<AtomicUsize>) {
-        match self.session.as_mut() {
-            Some(session) => session.publish_hits_to(sink),
-            None => sink.store(0, std::sync::atomic::Ordering::Relaxed),
-        }
+        self.session.publish_hits_to(sink);
     }
 }
 
@@ -871,14 +832,13 @@ pub fn execute(req: &Request) -> Response {
 /// kept across requests so repeated goals hit the memos.
 ///
 /// Responses are byte-identical to [`execute`] on fresh state: session
-/// memos replay recorded verdicts/plans of a deterministic pipeline,
-/// and the shared multi-seed graph is a discovery side-channel only
-/// (the PR 4 identity guarantee, asserted by `tests/serve.rs`).
+/// memos replay recorded verdicts/plans of a deterministic pipeline
+/// (the session-identity guarantee, asserted by `tests/serve.rs`).
 /// Requests whose *effective options differ* from the server defaults
 /// fall back to fresh [`execute`] — a session only answers under the
 /// exact options it was built with, so routing, say, a tighter-budget
-/// request through it would either bypass every memo or (worse) reuse
-/// a graph saturated under the wrong budget.
+/// request through it would either bypass every memo or (worse) close
+/// goals under the wrong budget.
 #[derive(Debug)]
 pub struct Workspace {
     prover: Prover,
@@ -948,8 +908,7 @@ impl Workspace {
                     Ok(s) => s,
                     Err(e) => return Response::Error(format!("parse error: {e}")),
                 };
-                let popts = opts.prove_options(script.budget);
-                if popts.budget != self.planner.budget || !popts.session {
+                if opts.prove_options(script.budget).budget != self.planner.budget {
                     return execute(req);
                 }
                 // The mined catalog is per-request: flag on searches with

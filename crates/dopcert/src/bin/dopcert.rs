@@ -35,9 +35,8 @@
 //!   validated by the same [`BudgetSpec`] as script `budget` directives
 //!   and serve requests;
 //! - `--jobs N` / `-j N` — worker threads (catalog/optimize/serve);
-//! - `--no-session` — fresh solver state per goal instead of one
-//!   persistent session per worker (the differential baseline; answers
-//!   are identical either way);
+//!   each worker keeps one persistent session, and answers are the same
+//!   whatever the worker count;
 //! - `--discover` — after `catalog` verification, saturate one
 //!   multi-seed session over every rule's sides and list the
 //!   equalities it proved between *different* rules' seeds;
@@ -86,7 +85,6 @@ struct Flags {
     saturate: bool,
     /// The three saturation knobs, through the shared validation point.
     budget: BudgetSpec,
-    no_session: bool,
     discover: bool,
     addr: Option<String>,
     cmd: Option<String>,
@@ -134,7 +132,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--sat-iters" => parse_knob(&mut flags, "iters", it.next())?,
             "--sat-nodes" => parse_knob(&mut flags, "nodes", it.next())?,
             "--sat-oracle-calls" => parse_knob(&mut flags, "oracle-calls", it.next())?,
-            "--no-session" => flags.no_session = true,
             "--discover" => flags.discover = true,
             "--addr" => flags.addr = Some(parse_str(arg, it.next())?),
             "--cmd" => flags.cmd = Some(parse_str(arg, it.next())?),
@@ -227,7 +224,6 @@ impl Flags {
                     self.budget.oracle_calls.is_some(),
                     "--sat-oracle-calls (use `prove`)",
                 )?;
-                reject(self.no_session, "--no-session (use `prove`)")?;
                 reject(self.discover, "--discover (use `catalog`)")?;
             }
             "prove" => {
@@ -252,7 +248,6 @@ impl Flags {
                 reject(self.budget.iters.is_some(), "--sat-iters")?;
                 reject(self.budget.nodes.is_some(), "--sat-nodes")?;
                 reject(self.budget.oracle_calls.is_some(), "--sat-oracle-calls")?;
-                reject(self.no_session, "--no-session")?;
                 reject(self.discover, "--discover (use `catalog`)")?;
             }
             "serve" => {
@@ -279,7 +274,6 @@ impl Flags {
                 SaturateMode::Fallback
             },
             budget: self.budget,
-            session: !self.no_session,
             jobs: self.jobs,
             mined_rules: self.mined_rules,
         }
@@ -542,11 +536,11 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: dopcert check <file.dop | ->\n\
-                 \x20      dopcert prove [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-session] [--trace-out FILE] [--profile] <file.dop | ->\n\
-                 \x20      dopcert optimize [--jobs N] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-session] [--mined-rules] [--trace-out FILE] [--profile] [--explain] <file.dop | ->\n\
-                 \x20      dopcert catalog [--jobs N] [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-session] [--discover] [--profile]\n\
+                 \x20      dopcert prove [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--trace-out FILE] [--profile] <file.dop | ->\n\
+                 \x20      dopcert optimize [--jobs N] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--mined-rules] [--trace-out FILE] [--profile] [--explain] <file.dop | ->\n\
+                 \x20      dopcert catalog [--jobs N] [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--discover] [--profile]\n\
                  \x20      dopcert mine [--seed N] [--count N]\n\
-                 \x20      dopcert serve [--addr HOST:PORT] [--jobs N] [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-session] [--mined-rules] [--budget-refill N] [--trace-out FILE]\n\
+                 \x20      dopcert serve [--addr HOST:PORT] [--jobs N] [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--mined-rules] [--budget-refill N] [--trace-out FILE]\n\
                  \x20      dopcert request --addr HOST:PORT [--cmd check|prove|optimize|catalog|discover|mine|stats|metrics|profile|trace|shutdown] [--tenant NAME] [flags] [file.dop | -]"
             );
             ExitCode::FAILURE
@@ -572,8 +566,10 @@ mod tests {
         assert!(flags(&["--bogus"]).is_err());
         assert!(flags(&["a.dop", "b.dop"]).is_err());
         // Removed flags fail loudly instead of being silently ignored.
-        let err = flags(&["--no-shared-cache"]).unwrap_err();
-        assert!(err.contains("unknown flag"), "{err}");
+        for retired in ["--no-shared-cache", "--no-session"] {
+            let err = flags(&[retired]).unwrap_err();
+            assert!(err.contains("unknown flag"), "{retired}: {err}");
+        }
     }
 
     #[test]
@@ -595,7 +591,6 @@ mod tests {
             &["--sat-nodes", "100"][..],
             &["--sat-oracle-calls", "16"][..],
             &["--jobs", "2"][..],
-            &["--no-session"][..],
             &["--discover"][..],
             &["--addr", "h:1"][..],
             &["--tenant", "t"][..],
@@ -653,19 +648,6 @@ mod tests {
         f.validate_for("catalog").unwrap();
         let opts = f.request_options().prove_options(BudgetSpec::default());
         assert_eq!(opts.budget.oracle_calls_per_iter, 7);
-    }
-
-    #[test]
-    fn no_session_flag_reaches_prove_options() {
-        let f = flags(&["--no-session"]).unwrap();
-        f.validate_for("prove").unwrap();
-        f.validate_for("optimize").unwrap();
-        f.validate_for("catalog").unwrap();
-        assert!(!f.request_options().session);
-        assert!(
-            flags(&[]).unwrap().request_options().session,
-            "on by default"
-        );
     }
 
     #[test]
@@ -802,7 +784,6 @@ mod tests {
             &["--jobs", "2"][..],
             &["--saturate"][..],
             &["--sat-iters", "5"][..],
-            &["--no-session"][..],
             &["x.dop"][..],
         ] {
             let err = flags(args).unwrap().validate_for("mine").unwrap_err();

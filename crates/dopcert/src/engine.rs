@@ -12,12 +12,10 @@
 //! claims: an [`api::Prover`](crate::api::Prover) for proving, an
 //! [`api::Planner`](crate::api::Planner) for optimizing. That state owns
 //! a private [`NormCache`], so structurally shared subterms normalize
-//! once per worker instead of once per occurrence, and (unless
-//! `prove.session` is off) a persistent session: verdicts, plans, and
-//! certificates are memoized across the worker's goals, and every
-//! saturation goal seeds the session's shared multi-seed e-graph.
-//! Session answers are byte-identical to fresh-solver mode by
-//! construction.
+//! once per worker instead of once per occurrence, and a persistent
+//! session: verdicts, plans, certificates, and saturation goals are
+//! memoized across the worker's items. Answers are byte-identical to
+//! proving each item on fresh state, by construction.
 //!
 //! Determinism: every worker uses its own [`VarGen`] (created per rule
 //! inside the prover, exactly as on the sequential path), and reports
@@ -128,10 +126,9 @@ impl Engine {
     /// in catalog order. Verdicts, methods, and step counts are
     /// identical to running [`crate::api::prove_rule`] sequentially.
     /// Each worker is one [`crate::api::Prover`] for its whole shard —
-    /// its normalization cache plus (unless `prove.session` is off) the
-    /// persistent session with memoized verdicts and the multi-seed
-    /// discovery graph — with answers byte-identical to the
-    /// sessionless path.
+    /// its normalization cache plus the persistent session with
+    /// memoized verdicts — with answers byte-identical to proving each
+    /// rule on fresh state.
     pub fn prove_catalog(&self, rules: &[Rule]) -> Vec<RuleReport> {
         let opts = self.config.prove;
         self.par_map(
@@ -212,7 +209,7 @@ impl Engine {
     /// scale entry point behind the `session_vs_fresh` BENCH series.
     /// Each worker keeps one [`crate::api::Prover`] for its shard;
     /// reports land in input order and are identical to verifying each
-    /// pair alone.
+    /// pair alone (one call per pair, the series' fresh reference).
     pub fn prove_pairs(&self, env: &QueryEnv, pairs: &[(Query, Query)]) -> Vec<PairReport> {
         let opts = self.config.prove;
         self.par_map(

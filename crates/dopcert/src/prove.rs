@@ -7,13 +7,13 @@
 
 use crate::rule::{Category, Rule, RuleInstance};
 use crate::session::ProveSession;
+use egraph::prove_eq_saturate_session;
 use egraph::solve::Budget;
-use egraph::{prove_eq_saturate, prove_eq_saturate_cached, prove_eq_saturate_session};
 use hottsql::denote::{denote_closed_query, denote_query};
 use relalg::Schema;
 use std::time::Instant;
 use uninomial::normalize::NormCache;
-use uninomial::prove::{prove_eq_cached, prove_eq_with_axioms, Method};
+use uninomial::prove::{prove_eq_cached, Method};
 use uninomial::syntax::{Term, UExpr, VarGen};
 
 /// How a rule was verified.
@@ -51,30 +51,13 @@ pub enum SaturateMode {
     Only,
 }
 
-/// Verification options: saturation scheduling, budget, and whether
-/// batch callers keep a persistent per-worker session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Verification options: saturation scheduling and budget.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProveOptions {
     /// When to run the saturation tactic.
     pub saturate: SaturateMode,
     /// Saturation budget (iterations / e-nodes / oracle calls).
     pub budget: Budget,
-    /// Whether batch callers (engine workers, scripts) keep one
-    /// persistent [`ProveSession`](crate::session::ProveSession) across
-    /// their goals (on by default; `--no-session` is the escape hatch
-    /// and the differential baseline). Verdicts and traces are identical
-    /// either way — the session only memoizes and discovers.
-    pub session: bool,
-}
-
-impl Default for ProveOptions {
-    fn default() -> ProveOptions {
-        ProveOptions {
-            saturate: SaturateMode::default(),
-            budget: Budget::default(),
-            session: true,
-        }
-    }
 }
 
 /// The result of attempting to verify one rule.
@@ -100,17 +83,15 @@ pub struct RuleReport {
     pub failure: Option<String>,
 }
 
-/// The one rule-verification pipeline all entry points share; which
-/// state it runs on is the caller's choice ([`crate::api::Prover`]
-/// makes it once, at construction). Verdict, method, and step count
-/// are identical whatever state is supplied (property-tested); only
-/// `micros` (wall clock) differs. Repeated goals are answered from the
-/// session memo and every saturation goal feeds the session's
-/// multi-seed discovery graph.
+/// The one rule-verification pipeline all entry points share, on the
+/// state a [`crate::api::Prover`] holds. Verdict, method, and step
+/// count are identical whether that state is fresh or warm
+/// (property-tested); only `micros` (wall clock) differs. Repeated
+/// goals are answered from the session memo.
 pub(crate) fn prove_rule_on(
     rule: &Rule,
-    cache: Option<&mut NormCache>,
-    session: Option<&mut ProveSession>,
+    cache: &mut NormCache,
+    session: &mut ProveSession,
     opts: ProveOptions,
 ) -> RuleReport {
     let start = Instant::now();
@@ -133,7 +114,7 @@ pub(crate) fn prove_rule_on(
             },
         };
     }
-    match verify_instance_session(&inst, cache, session, opts) {
+    match verify_instance(&inst, cache, session, opts) {
         Ok((method, steps, attempted)) => RuleReport {
             name: rule.name,
             category: rule.category,
@@ -172,7 +153,16 @@ pub fn decide_cq(inst: &RuleInstance) -> Option<bool> {
 ///
 /// Returns a diagnostic string (typing error or differing normal forms).
 pub fn prove_instance(inst: &RuleInstance) -> Result<(Method, usize), String> {
-    prove_instance_impl(inst, None)
+    let opts = ProveOptions {
+        saturate: SaturateMode::Off,
+        ..ProveOptions::default()
+    };
+    let mut session = ProveSession::new(opts);
+    match verify_instance(inst, &mut NormCache::new(), &mut session, opts) {
+        Ok((VerifyMethod::Tactic(m), steps, _)) => Ok((m, steps)),
+        Ok((other, _, _)) => Err(format!("unexpected method {other}")),
+        Err((msg, _)) => Err(msg),
+    }
 }
 
 /// Denotes both sides of an instance without proving anything.
@@ -201,44 +191,21 @@ pub fn denote_instance(inst: &RuleInstance) -> Result<(UExpr, UExpr, VarGen), St
     Ok((el, er, gen))
 }
 
-fn prove_instance_impl(
-    inst: &RuleInstance,
-    cache: Option<&mut NormCache>,
-) -> Result<(Method, usize), String> {
-    let opts = ProveOptions {
-        saturate: SaturateMode::Off,
-        ..ProveOptions::default()
-    };
-    match verify_instance(inst, cache, opts) {
-        Ok((VerifyMethod::Tactic(m), steps, _)) => Ok((m, steps)),
-        Ok((other, _, _)) => Err(format!("unexpected method {other}")),
-        Err((msg, _)) => Err(msg),
-    }
-}
-
-/// Denotes an instance and runs the configured verification pipeline.
-/// On success returns the method, step count, and every method
-/// attempted; on failure the diagnostic and the attempted list.
+/// Denotes an instance and runs the configured verification pipeline
+/// on a normalization cache and a [`ProveSession`] built for `opts`. On
+/// success returns the method, step count, and every method attempted;
+/// on failure the diagnostic and the attempted list.
+///
+/// Axiom-free goals are answered from the session's verdict memo when
+/// already seen (byte-identical by determinism of the pipeline); misses
+/// run the ordinary pipeline — with the saturation step routed through
+/// the session's goal memo — and are recorded. A fresh cache and
+/// session give the same answer as warm ones.
 #[allow(clippy::type_complexity)] // (method, steps, attempts) / (diag, attempts)
 pub fn verify_instance(
     inst: &RuleInstance,
-    cache: Option<&mut NormCache>,
-    opts: ProveOptions,
-) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
-    verify_instance_session(inst, cache, None, opts)
-}
-
-/// [`verify_instance`] through a persistent per-worker
-/// [`ProveSession`]. Axiom-free goals are answered from the session's
-/// verdict memo when already seen (byte-identical by determinism of the
-/// pipeline); misses run the ordinary pipeline — with the saturation
-/// step routed through the session's goal memo and multi-seed graph —
-/// and are recorded.
-#[allow(clippy::type_complexity)] // same result shape as verify_instance
-pub fn verify_instance_session(
-    inst: &RuleInstance,
-    cache: Option<&mut NormCache>,
-    mut session: Option<&mut ProveSession>,
+    cache: &mut NormCache,
+    session: &mut ProveSession,
     opts: ProveOptions,
 ) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
     let bail = |msg: String| (msg, Vec::new());
@@ -247,10 +214,8 @@ pub fn verify_instance_session(
     // function of (env, lhs, rhs), so a repeated query pair is answered
     // here, before the denote/infer work the denotation-keyed layer
     // below still pays.
-    if let Some(session) = session.as_deref_mut() {
-        if let Some(verdict) = session.lookup_query(inst, opts) {
-            return verdict;
-        }
+    if let Some(verdict) = session.lookup_query(inst, opts) {
+        return verdict;
     }
     let mut gen = VarGen::new();
     let (t, el) = denote_closed_query(&inst.lhs, &inst.env, &mut gen)
@@ -277,18 +242,14 @@ pub fn verify_instance_session(
     // Declared axioms are not part of the key — such goals bypass.
     let memoizable = inst.axioms.is_empty();
     if memoizable {
-        if let Some(session) = session.as_deref_mut() {
-            if let Some(verdict) = session.lookup(&el, &er, opts) {
-                return verdict;
-            }
+        if let Some(verdict) = session.lookup(&el, &er, opts) {
+            return verdict;
         }
     }
-    let verdict = verify_denoted(&el, &er, inst, &mut gen, cache, &mut session, opts);
+    let verdict = verify_denoted(&el, &er, inst, &mut gen, cache, session, opts);
     if memoizable {
-        if let Some(session) = session {
-            session.record(&el, &er, opts, verdict.clone());
-            session.record_query(inst, opts, verdict.clone());
-        }
+        session.record(&el, &er, opts, verdict.clone());
+        session.record_query(inst, opts, verdict.clone());
     }
     verdict
 }
@@ -300,19 +261,15 @@ fn verify_denoted(
     er: &UExpr,
     inst: &RuleInstance,
     gen: &mut VarGen,
-    mut cache: Option<&mut NormCache>,
-    session: &mut Option<&mut ProveSession>,
+    cache: &mut NormCache,
+    session: &mut ProveSession,
     opts: ProveOptions,
 ) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
     let mut attempted: Vec<String> = Vec::new();
     let mut tactic_diag: Option<String> = None;
     if opts.saturate != SaturateMode::Only {
         attempted.extend(["syntactic", "equational", "deductive"].map(String::from));
-        let outcome = match cache.as_deref_mut() {
-            Some(cache) => prove_eq_cached(el, er, &inst.axioms, gen, cache),
-            None => prove_eq_with_axioms(el, er, &inst.axioms, gen),
-        };
-        match outcome {
+        match prove_eq_cached(el, er, &inst.axioms, gen, cache) {
             Ok(proof) => {
                 return Ok((
                     VerifyMethod::Tactic(proof.method()),
@@ -328,16 +285,7 @@ fn verify_denoted(
             "saturation (≤{} iters, ≤{} nodes)",
             opts.budget.max_iters, opts.budget.max_nodes
         ));
-        let outcome = match (cache, session.as_deref_mut()) {
-            (Some(cache), Some(session)) => {
-                prove_eq_saturate_session(el, er, &inst.axioms, gen, cache, &mut session.sat)
-            }
-            (Some(cache), None) => {
-                prove_eq_saturate_cached(el, er, &inst.axioms, gen, cache, opts.budget)
-            }
-            (None, _) => prove_eq_saturate(el, er, &inst.axioms, gen, opts.budget),
-        };
-        match outcome {
+        match prove_eq_saturate_session(el, er, &inst.axioms, gen, cache, &mut session.sat) {
             Ok(proof) => return Ok((VerifyMethod::Saturation, proof.steps(), attempted)),
             Err(sat) => {
                 let mut msg = sat.to_string();

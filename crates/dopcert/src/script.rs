@@ -31,9 +31,8 @@
 //! *inequivalent* and must produce a counterexample.
 
 use crate::api::{BudgetSpec, Prover};
-use crate::prove::{decide_cq, verify_instance_session, ProveOptions, VerifyMethod};
+use crate::prove::{verify_instance, ProveOptions, VerifyMethod};
 use crate::rule::RuleInstance;
-use crate::session::ProveSession;
 use hottsql::ast::Query;
 use hottsql::env::QueryEnv;
 use hottsql::error::HottsqlError;
@@ -42,7 +41,6 @@ use relalg::stats::Statistics;
 use relalg::{BaseType, Schema};
 use std::collections::BTreeMap;
 use std::fmt;
-use uninomial::normalize::NormCache;
 
 /// A parsed script.
 #[derive(Clone, Debug, Default)]
@@ -309,32 +307,14 @@ fn parse_distinct_decl(rest: &str, script: &Script) -> Result<(String, usize, f6
     Ok((table.to_owned(), index, value))
 }
 
-/// Checks one goal with the full pipeline (default options: tactics
-/// with saturation fallback).
-pub fn check_goal(env: &QueryEnv, goal: &Goal) -> GoalOutcome {
-    let inst = RuleInstance::plain(env.clone(), goal.lhs.clone(), goal.rhs.clone());
-    let decision = decide_cq(&inst);
-    check_goal_inst(
-        env,
-        goal,
-        inst,
-        decision,
-        None,
-        None,
-        ProveOptions::default(),
-    )
-}
-
-/// The shared tail: instance already built, CQ decision already known,
-/// the script's persistent cache and session (if any) threaded through.
-fn check_goal_inst(
+/// Checks one goal with the full pipeline: its CQ decision (already
+/// computed in the script's batch), else the general prover on the
+/// prover's persistent cache and session, then a counterexample hunt.
+fn goal_outcome(
     env: &QueryEnv,
     goal: &Goal,
-    inst: RuleInstance,
     cq_decision: Option<bool>,
-    cache: Option<&mut NormCache>,
-    session: Option<&mut ProveSession>,
-    opts: ProveOptions,
+    prover: &mut Prover,
 ) -> GoalOutcome {
     // 1. Decision procedure for the conjunctive fragment.
     if let Some(decided) = cq_decision {
@@ -356,8 +336,9 @@ fn check_goal_inst(
                 .into(),
         };
     }
-    // 2. General prover (tactics and/or saturation per `opts`).
-    match verify_instance_session(&inst, cache, session, opts) {
+    // 2. General prover (tactics and/or saturation per its options).
+    let inst = RuleInstance::plain(env.clone(), goal.lhs.clone(), goal.rhs.clone());
+    match verify_instance(&inst, &mut prover.cache, &mut prover.session, prover.opts) {
         Ok((method, steps, _)) => GoalOutcome::Proved { method, steps },
         Err((diag, _)) => match hunt_counterexample(env, goal) {
             Some(cex) => GoalOutcome::Refuted {
@@ -420,9 +401,9 @@ pub fn run_script(script: &Script) -> Vec<GoalOutcome> {
 /// `opts` — the CLI's `prove --saturate` mode routes every such goal
 /// through equality saturation alone.
 pub fn run_script_with(script: &Script, opts: ProveOptions) -> Vec<GoalOutcome> {
-    // One normalization cache and (unless disabled) one persistent
-    // proving session serve every goal of the script — outcomes are
-    // identical to checking each goal alone.
+    // One normalization cache and one persistent proving session serve
+    // every goal of the script — outcomes are identical to checking
+    // each goal alone.
     run_script_in(script, &mut Prover::new(opts))
 }
 
@@ -449,23 +430,13 @@ pub fn run_script_in(script: &Script, prover: &mut Prover) -> Vec<GoalOutcome> {
     }
     let pairs: Vec<(usize, usize)> = pair_of_goal.iter().flatten().copied().collect();
     let mut decisions = cq::containment::equivalent_set_batch(&queries, &pairs).into_iter();
-    let opts = prover.opts;
     script
         .goals
         .iter()
         .zip(&pair_of_goal)
         .map(|(goal, cq_pair)| {
             let decision = cq_pair.map(|_| decisions.next().expect("one decision per CQ goal"));
-            let inst = RuleInstance::plain(script.env.clone(), goal.lhs.clone(), goal.rhs.clone());
-            check_goal_inst(
-                &script.env,
-                goal,
-                inst,
-                decision,
-                Some(&mut prover.cache),
-                prover.session.as_mut(),
-                opts,
-            )
+            goal_outcome(&script.env, goal, decision, prover)
         })
         .collect()
 }

@@ -31,6 +31,8 @@
 //! Error handling is per request: a malformed line or rejected budget
 //! answers with an error *response* on the same connection — the
 //! connection stays open and subsequent lines are processed normally.
+//! A line longer than 1 MiB is answered with one error as soon as it
+//! outgrows that cap; the rest of it is skipped unbuffered.
 //! A `shutdown` request is acknowledged, then the listener and all
 //! workers drain and exit; [`Server::wait`] joins them.
 
@@ -54,6 +56,12 @@ use telemetry::Histogram;
 /// flag. Short enough that `shutdown` feels immediate, long enough
 /// that idle connections cost nothing measurable.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
+
+/// The longest request line a connection buffers. Scripts are a few
+/// kilobytes (`scripts/optimize_smoke.dop` is under one), so the cap
+/// only bounds what a hostile or broken client can make the daemon
+/// hold.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Budget refill: a tenant's spent iterations decay at this rate, so
 /// exhaustion is a rate limit rather than a lifetime ban.
@@ -482,31 +490,77 @@ fn serve_connection(stream: TcpStream, shared: &Shared, senders: &[Sender<Job>])
     };
     let mut writer = std::io::BufWriter::new(write_half);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
+    // Set once the current line outgrew the cap: its error has been
+    // sent, and its remaining bytes are dropped through the newline.
+    let mut skipping = false;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF: the client hung up.
-            Ok(_) => {
-                if !line.trim().is_empty() {
-                    let reply = answer_line(line.trim(), shared, senders);
-                    if writer
-                        .write_all(reply.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
+        let (used, complete) = match reader.fill_buf() {
+            Ok([]) => return, // EOF: the client hung up.
+            Ok(buf) => {
+                let end = buf.iter().position(|&b| b == b'\n');
+                let chunk = &buf[..end.unwrap_or(buf.len())];
+                if !skipping && line.len() + chunk.len() > MAX_LINE_BYTES {
+                    skipping = true;
+                    line = Vec::new();
+                    if send_line(&mut writer, &reject_overlong(shared)).is_err() {
                         return;
                     }
+                } else if !skipping {
+                    line.extend_from_slice(chunk);
                 }
-                line.clear();
+                (chunk.len() + usize::from(end.is_some()), end.is_some())
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
             Err(_) => return,
+        };
+        reader.consume(used);
+        if !complete {
+            continue;
         }
+        if !std::mem::take(&mut skipping) {
+            // A line that is not UTF-8 closes the connection.
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return;
+            };
+            if !text.trim().is_empty() {
+                let reply = answer_line(text.trim(), shared, senders);
+                if send_line(&mut writer, &reply).is_err() {
+                    return;
+                }
+            }
+        }
+        line.clear();
     }
+}
+
+/// Writes one response line and flushes it to the client.
+fn send_line(writer: &mut impl Write, reply: &str) -> std::io::Result<()> {
+    writer.write_all(reply.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
+}
+
+/// The answer to a line that outgrew [`MAX_LINE_BYTES`], counted as one
+/// request and one error.
+fn reject_overlong(shared: &Shared) -> String {
+    {
+        let mut c = shared.counters.lock().expect("counters lock");
+        c.requests += 1;
+        c.errors += 1;
+    }
+    let msg = format!("bad request: line longer than {MAX_LINE_BYTES} bytes");
+    encode_response(&Json::Null, &Response::Error(msg))
 }
 
 /// The latency-histogram label of a request.

@@ -1,8 +1,9 @@
 //! Per-worker proving sessions: the verification-pipeline face of
 //! [`egraph::Session`].
 //!
-//! The batch engine keeps ONE [`ProveSession`] per worker for its whole
-//! shard. It layers a two-level *verdict memo* over the e-graph session.
+//! Every [`Prover`](crate::api::Prover) holds ONE [`ProveSession`]; the
+//! batch engine keeps one per worker for its whole shard. It layers a
+//! two-level *verdict memo* over the e-graph session's goal memo.
 //! The outer level keys on the surface query pair + table environment
 //! and answers before the pipeline runs at all; the inner level keys on
 //! the raw denotations (which are deterministic per query pair — every
@@ -15,10 +16,9 @@
 //! production query traffic) skip denotation, type inference,
 //! normalization, tactics, and saturation entirely.
 //!
-//! The embedded [`egraph::Session`] additionally collects every
-//! saturation goal's sides as seeds of one shared multi-seed graph,
-//! which powers the cross-rule discovery report
-//! ([`discover_catalog`], `dopcert catalog --discover`).
+//! The embedded [`egraph::Session`] memoizes the saturation step's
+//! goal-closing searches. Cross-rule discovery ([`discover_catalog`],
+//! `dopcert catalog --discover`) seeds a multi-seed session of its own.
 
 use crate::prove::{denote_instance, ProveOptions, VerifyMethod};
 use crate::rule::{Rule, RuleInstance};
@@ -54,8 +54,8 @@ fn query_key(inst: &RuleInstance) -> QueryKey {
 }
 
 /// A persistent per-worker proving session: a two-level verdict memo
-/// (surface query pairs, then raw denotations) plus the shared
-/// saturation session.
+/// (surface query pairs, then raw denotations) plus the saturation
+/// session's goal memo.
 ///
 /// The query-level memo is the hot-path layer: a repeated goal is
 /// answered before any denotation or type inference runs. The
@@ -63,7 +63,7 @@ fn query_key(inst: &RuleInstance) -> QueryKey {
 /// texts that denote to the same trees.
 #[derive(Debug)]
 pub struct ProveSession {
-    /// The underlying multi-seed saturation session.
+    /// The saturation session the goal-closing searches run on.
     pub sat: Session,
     /// The options verdicts were computed under. A verdict depends on
     /// the saturation mode and budget, not just the goal, so lookups

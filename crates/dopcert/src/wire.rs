@@ -12,7 +12,7 @@
 //! ```json
 //! {"cmd": "prove", "id": 1, "tenant": "alice",
 //!  "script": "table R(int); verify R == R;",
-//!  "saturate": "fallback", "session": true,
+//!  "saturate": "fallback",
 //!  "budget": {"iters": 24, "nodes": 10000, "oracle-calls": 64},
 //!  "jobs": 2, "discover": false}
 //! ```
@@ -456,9 +456,6 @@ fn decode_options(value: &Json) -> Result<RequestOptions, String> {
             _ => return Err("saturate must be \"off\", \"fallback\", or \"only\"".into()),
         };
     }
-    if let Some(session) = value.get("session") {
-        opts.session = session.as_bool().ok_or("session must be a boolean")?;
-    }
     if let Some(jobs) = value.get("jobs") {
         opts.jobs = Some(
             jobs.as_usize()
@@ -503,9 +500,6 @@ pub fn encode_request(id: &Json, tenant: &str, req: &Request) -> String {
                 SaturateMode::Only => "only",
             };
             map.insert("saturate".to_owned(), Json::Str(mode.to_owned()));
-        }
-        if opts.session != defaults.session {
-            map.insert("session".to_owned(), Json::Bool(opts.session));
         }
         if let Some(jobs) = opts.jobs {
             map.insert("jobs".to_owned(), Json::Num(jobs as f64));
@@ -864,13 +858,16 @@ mod tests {
 
     #[test]
     fn retired_option_fields_decode_as_absent() {
-        // Old clients still send `shared-cache`; it no longer selects
-        // anything, so the request decodes as if it were absent.
+        // Old clients still send `shared-cache` and `session`; they no
+        // longer select anything, so the request decodes as if they
+        // were absent.
         let base = r#"{"cmd":"prove","id":3,"jobs":2,"script":"x""#;
         let without = decode_request(&format!("{base}}}")).unwrap();
-        for flag in ["true", "false"] {
-            let with = decode_request(&format!(r#"{base},"shared-cache":{flag}}}"#)).unwrap();
-            assert_eq!(with, without, "shared-cache: {flag}");
+        for field in ["shared-cache", "session"] {
+            for flag in ["true", "false"] {
+                let with = decode_request(&format!(r#"{base},"{field}":{flag}}}"#)).unwrap();
+                assert_eq!(with, without, "{field}: {flag}");
+            }
         }
     }
 
@@ -879,7 +876,6 @@ mod tests {
         let mut opts = RequestOptions::default();
         opts.budget.set("iters", 40).unwrap();
         opts.saturate = SaturateMode::Only;
-        opts.session = false;
         opts.jobs = Some(2);
         let reqs = [
             Request::Prove {

@@ -11,7 +11,6 @@ use dopcert::rule::Category;
 fn saturate_only() -> ProveOptions {
     ProveOptions {
         saturate: SaturateMode::Only,
-        session: false, // the old cache-only path: no verdict memo
         ..ProveOptions::default()
     }
 }

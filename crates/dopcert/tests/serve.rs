@@ -1,6 +1,6 @@
 //! End-to-end acceptance of `dopcert serve`: concurrent clients over
-//! real TCP, answers bit-identical to a fresh `--no-session` run of
-//! the same request, per-request error handling, per-tenant budget
+//! real TCP, answers bit-identical to a fresh single-shot run of the
+//! same request, per-request error handling, per-tenant budget
 //! admission, and a nonzero memo hit-rate on repetition-heavy traffic.
 
 use dopcert::api::{execute, Request, RequestOptions};
@@ -25,14 +25,11 @@ fn scripts() -> Vec<String> {
         .collect()
 }
 
-/// The single-shot CLI baseline: fresh state, `--no-session`.
+/// The single-shot CLI baseline: the request alone on fresh state.
 fn baseline(script: &str) -> Vec<String> {
     execute(&Request::Prove {
         script: script.to_owned(),
-        opts: RequestOptions {
-            session: false,
-            ..RequestOptions::default()
-        },
+        opts: RequestOptions::default(),
     })
     .render()
 }
@@ -44,8 +41,8 @@ fn concurrent_clients_get_answers_bit_identical_to_the_fresh_cli() {
 
     // Two clients, each with its own connection, interleaving the same
     // repetition-heavy stream — every answer must equal the fresh
-    // `--no-session` baseline byte for byte, whichever worker answered
-    // and however warm its memos were.
+    // single-shot baseline byte for byte, whichever worker answered and
+    // however warm its memos were.
     let handles: Vec<_> = (0..2)
         .map(|client| {
             let addr = addr.clone();
@@ -193,10 +190,7 @@ fn a_shutdown_request_stops_the_server() {
 fn non_default_option_requests_run_fresh_and_still_match_the_baseline() {
     let server = Server::start(ServeConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
-    let mut opts = RequestOptions {
-        session: false,
-        ..RequestOptions::default()
-    };
+    let mut opts = RequestOptions::default();
     opts.budget.set("iters", 12).unwrap();
     let req = Request::Prove {
         script: "table R(int);\nverify (R UNION ALL R) == (R UNION ALL R);".into(),
@@ -250,14 +244,34 @@ fn hostile_nesting_and_retired_options_leave_the_daemon_answering() {
     let reply = request_once(&addr, &Json::Null, "default", &Request::Stats).expect("request");
     assert!(reply.ok, "new connections are still accepted: {reply:?}");
 
-    // Old clients may still send the retired `shared-cache` field: the
-    // daemon answers byte for byte as if it were absent.
+    // A 2 MiB line must cost one bad-request error, not 2 MiB of
+    // buffer: the daemon answers once the line outgrows its cap, skips
+    // the rest, and serves the next line on the same connection.
+    let reply = decode_response(roundtrip(&"x".repeat(2 << 20)).trim()).expect("decode");
+    assert!(!reply.ok);
+    assert!(reply.error.expect("error").contains("line longer than"));
+    let reply = decode_response(roundtrip(r#"{"cmd":"stats"}"#).trim()).expect("decode");
+    assert!(reply.ok, "same connection still answers: {reply:?}");
+    assert!(
+        reply
+            .lines
+            .iter()
+            .any(|l| l.starts_with("requests: 5 (2 ok, 2 error")),
+        "the long line counts as one request and one error: {:?}",
+        reply.lines
+    );
+
+    // Old clients may still send the retired `shared-cache` and
+    // `session` fields: the daemon answers byte for byte as if they
+    // were absent.
     let base = r#"{"cmd":"prove","id":4,"script":"table R(int);\nverify (R UNION ALL R) == (R UNION ALL R);""#;
     let plain = roundtrip(&format!("{base}}}"));
     assert!(decode_response(plain.trim()).expect("decode").ok, "{plain}");
-    for flag in ["true", "false"] {
-        let with = roundtrip(&format!(r#"{base},"shared-cache":{flag}}}"#));
-        assert_eq!(with, plain, "shared-cache: {flag}");
+    for field in ["shared-cache", "session"] {
+        for flag in ["true", "false"] {
+            let with = roundtrip(&format!(r#"{base},"{field}":{flag}}}"#));
+            assert_eq!(with, plain, "{field}: {flag}");
+        }
     }
     server.shutdown();
     server.wait();

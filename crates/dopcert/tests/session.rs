@@ -1,30 +1,37 @@
-//! Determinism of persistent sessions: session-mode verdicts, report
-//! order, and proof traces must be **bit-identical** to fresh-solver
-//! mode, on both the Fig. 8 catalog and seeded generated CQ corpora —
-//! and every certificate a session-mode optimization ships must still
-//! replay. `--no-session` is the differential baseline throughout.
+//! Determinism of persistent sessions: verdicts, report order, and
+//! proof traces from one batch — where every worker's session persists
+//! across its items — must be **bit-identical** to fresh state per
+//! item, on both the Fig. 8 catalog and seeded generated CQ corpora,
+//! and every certificate a batch optimization ships must still replay.
+//! The reference throughout runs each item through its own engine
+//! call, so nothing is shared between items.
 
 use dopcert::api::Prover;
 use dopcert::catalog;
 use dopcert::engine::{Engine, EngineConfig};
 use dopcert::prove::{ProveOptions, SaturateMode, VerifyMethod};
-use dopcert::rule::RuleInstance;
-use dopcert::session::ProveSession;
 use egraph::Budget;
 use hottsql::ast::Query;
 use hottsql::env::QueryEnv;
 use proptest::prelude::*;
 use uninomial::normalize::NormCache;
 
-fn engine(session: bool, saturate: SaturateMode) -> Engine {
+fn engine(saturate: SaturateMode) -> Engine {
     Engine::with_config(EngineConfig {
         prove: ProveOptions {
             saturate,
-            session,
             ..ProveOptions::default()
         },
         ..EngineConfig::default()
     })
+}
+
+/// The fresh-state reference: each item through its own `batch` call.
+fn one_by_one<T, R>(items: &[T], batch: impl Fn(&[T]) -> Vec<R>) -> Vec<R> {
+    items
+        .iter()
+        .flat_map(|item| batch(std::slice::from_ref(item)))
+        .collect()
 }
 
 /// A small seeded corpus of equivalence goals with repetition (the
@@ -60,8 +67,9 @@ fn corpus(seed: u64, goals: usize, pool: usize) -> (QueryEnv, Vec<(Query, Query)
 fn catalog_session_reports_are_identical_to_fresh_mode() {
     for saturate in [SaturateMode::Fallback, SaturateMode::Only] {
         let rules = catalog::sound_rules();
-        let with = engine(true, saturate).prove_catalog(&rules);
-        let without = engine(false, saturate).prove_catalog(&rules);
+        let engine = engine(saturate);
+        let with = engine.prove_catalog(&rules);
+        let without = one_by_one(&rules, |rules| engine.prove_catalog(rules));
         assert_eq!(with.len(), without.len(), "report order and length");
         for (a, b) in with.iter().zip(&without) {
             assert_eq!(a.name, b.name, "report order");
@@ -94,12 +102,8 @@ fn repeated_rule_through_one_session_replays_the_same_report() {
     assert_eq!(first.method, second.method);
     assert_eq!(first.steps, second.steps);
     assert_eq!(prover.memo_hits(), 1, "second answer from the memo");
-    // And the memoized answer equals a sessionless derivation.
-    let fresh = Prover::new(ProveOptions {
-        session: false,
-        ..opts
-    })
-    .prove_rule(rule);
+    // And the memoized answer equals a derivation on fresh state.
+    let fresh = Prover::new(opts).prove_rule(rule);
     assert_eq!(fresh.method, second.method);
     assert_eq!(fresh.steps, second.steps);
 }
@@ -107,8 +111,9 @@ fn repeated_rule_through_one_session_replays_the_same_report() {
 #[test]
 fn corpus_session_verdicts_and_order_match_fresh_mode() {
     let (env, pairs) = corpus(0xC0FFEE, 60, 16);
-    let with = engine(true, SaturateMode::Fallback).prove_pairs(&env, &pairs);
-    let without = engine(false, SaturateMode::Fallback).prove_pairs(&env, &pairs);
+    let engine = engine(SaturateMode::Fallback);
+    let with = engine.prove_pairs(&env, &pairs);
+    let without = one_by_one(&pairs, |pairs| engine.prove_pairs(&env, pairs));
     assert_eq!(with, without, "verdicts, methods, steps, and order");
     assert!(with.iter().all(|r| r.proved), "corpus goals all prove");
     assert!(with.iter().all(|r| matches!(
@@ -123,8 +128,11 @@ fn optimize_batch_session_reports_are_identical_and_certificates_replay() {
     let (env, pairs) = corpus(0x0971CA, 24, 12);
     let queries: Vec<Query> = pairs.into_iter().map(|(a, _)| a).collect();
     let stats = Statistics::new().with_rows("R", 1e5).with_rows("S", 2e4);
-    let with = engine(true, SaturateMode::Fallback).optimize_batch(&env, &stats, &queries);
-    let without = engine(false, SaturateMode::Fallback).optimize_batch(&env, &stats, &queries);
+    let engine = engine(SaturateMode::Fallback);
+    let with = engine.optimize_batch(&env, &stats, &queries);
+    let without = one_by_one(&queries, |queries| {
+        engine.optimize_batch(&env, &stats, queries)
+    });
     assert_eq!(with.len(), without.len());
     for ((q, a), b) in queries.iter().zip(&with).zip(&without) {
         let (a, b) = (
@@ -199,49 +207,17 @@ fn plan_session_rebind_under_new_statistics_invalidates_the_memo() {
     assert_eq!(a.output, c.output);
 }
 
-#[test]
-fn session_discovery_on_a_repetitive_corpus_is_deterministic() {
-    // Saturation goals auto-seed the session's shared graph; a corpus
-    // with repeated queries must produce (deterministic) discoveries —
-    // at minimum the structural ones between repeated goals' sides.
-    let (env, pairs) = corpus(0xD15C0, 12, 4);
-    let opts = ProveOptions {
-        saturate: SaturateMode::Only,
-        ..ProveOptions::default()
-    };
-    let run = |pairs: &[(Query, Query)]| {
-        let mut cache = NormCache::new();
-        let mut session = ProveSession::new(opts);
-        for (l, r) in pairs {
-            let inst = RuleInstance::plain(env.clone(), l.clone(), r.clone());
-            let _ = dopcert::prove::verify_instance_session(
-                &inst,
-                Some(&mut cache),
-                Some(&mut session),
-                opts,
-            );
-        }
-        session.sat.discovered()
-    };
-    let a = run(&pairs);
-    let b = run(&pairs);
-    assert_eq!(a, b, "discovery must be deterministic");
-    assert!(
-        !a.is_empty(),
-        "repeated goals must surface cross-goal equalities"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // For any corpus seed, session-mode batch proving is report-
-    // identical to fresh mode.
+    // For any corpus seed, batch proving is report-identical to fresh
+    // state per goal.
     #[test]
     fn prop_session_reports_match_fresh_for_any_seed(seed in 0u64..1_000_000) {
         let (env, pairs) = corpus(seed, 20, 8);
-        let with = engine(true, SaturateMode::Fallback).prove_pairs(&env, &pairs);
-        let without = engine(false, SaturateMode::Fallback).prove_pairs(&env, &pairs);
+        let engine = engine(SaturateMode::Fallback);
+        let with = engine.prove_pairs(&env, &pairs);
+        let without = one_by_one(&pairs, |pairs| engine.prove_pairs(&env, pairs));
         prop_assert_eq!(with, without);
     }
 }

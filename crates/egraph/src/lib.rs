@@ -27,10 +27,11 @@
 //! The solver is `Send`: the parallel batch engine runs one e-graph per
 //! worker. For batch workloads the one-shot [`Solver`] generalizes to a
 //! persistent [`Session`] (one per worker, shared across the whole
-//! batch): goal answers are memoized with byte-identical traces, new
-//! roots seed incrementally with saturation *resuming* rather than
-//! restarting, and cross-seed discovery reports equalities between
-//! different goals' sides — see [`session`].
+//! batch): goal answers are memoized with byte-identical traces. A
+//! session's shared multi-seed graph takes tagged roots incrementally,
+//! with saturation *resuming* rather than restarting, and cross-seed
+//! discovery reports equalities between different roots — the engine
+//! behind `dopcert catalog --discover` and rule mining; see [`session`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -50,9 +51,7 @@ pub use extract::{CostFunction, TreeSize};
 pub use graph::{EGraph, RebuildMode};
 pub use lang::ENode;
 pub use mined::{MinedRule, MINED_LABEL_PREFIX};
-pub use prove::{
-    prove_eq_saturate, prove_eq_saturate_cached, prove_eq_saturate_session, SaturateFailure,
-};
+pub use prove::{prove_eq_saturate, prove_eq_saturate_session, SaturateFailure};
 pub use session::{Admission, BatchBudget, Session, SessionStats};
 pub use solve::{Budget, Outcome, Solver, Stats};
 pub use unionfind::Id;

@@ -45,7 +45,9 @@ impl fmt::Display for SaturateFailure {
 
 impl std::error::Error for SaturateFailure {}
 
-/// Proves `lhs = rhs` by equality saturation under the given budget.
+/// Proves `lhs = rhs` by equality saturation under the given budget,
+/// on a fresh [`Solver`] and without a normalization cache — the
+/// uncached reference the session path is checked against.
 ///
 /// # Errors
 ///
@@ -58,31 +60,40 @@ pub fn prove_eq_saturate(
     gen: &mut VarGen,
     budget: Budget,
 ) -> Result<Proof, SaturateFailure> {
-    prove_eq_saturate_impl(lhs, rhs, axioms, gen, None, budget)
+    let (mut trace, nl, nr) = saturate_prefix(lhs, rhs, axioms, gen, None);
+    let el = nl.reify();
+    let er = nr.reify();
+    let mut solver = Solver::new(budget);
+    solver.reserve_names_above(el.max_var_id().max(er.max_var_id()));
+    let l = solver.seed_expr(&el);
+    let r = solver.seed_expr(&er);
+    // Propositional goals may be equal only up to bi-implication; the
+    // `PropExt` rewrite works on squash classes, and `‖P‖ = P` for
+    // propositions (SquashProp), so seeding the squash-wrapped sides
+    // routes such goals through it.
+    if nl.is_prop() && nr.is_prop() {
+        solver.seed_expr(&UExpr::squash(el.clone()));
+        solver.seed_expr(&UExpr::squash(er.clone()));
+    }
+    let (outcome, stats) = solver.run(l, r);
+    if outcome == Outcome::Proved {
+        solver.explain_into(l, r, &mut trace);
+        return Ok(Proof::new(Method::Saturate, trace, nl, nr));
+    }
+    Err(SaturateFailure {
+        lhs_nf: nl.to_string(),
+        rhs_nf: nr.to_string(),
+        outcome,
+        stats,
+    })
 }
 
 /// [`prove_eq_saturate`] with memoized normalization through a reusable
-/// [`NormCache`] — the batch engine's per-worker entry point.
-///
-/// # Errors
-///
-/// Returns [`SaturateFailure`] when the goal classes never merge.
-pub fn prove_eq_saturate_cached(
-    lhs: &UExpr,
-    rhs: &UExpr,
-    axioms: &[RelAxiom],
-    gen: &mut VarGen,
-    cache: &mut NormCache,
-    budget: Budget,
-) -> Result<Proof, SaturateFailure> {
-    prove_eq_saturate_impl(lhs, rhs, axioms, gen, Some(cache), budget)
-}
-
-/// [`prove_eq_saturate_cached`] through a persistent [`Session`]: the
-/// goal-closing search is memoized across goals (and its answer is
-/// byte-identical to the fresh-solver path by construction — see the
-/// [`Session`] docs), and the goal's sides additionally seed the
-/// session's shared multi-seed graph for cross-goal discovery.
+/// [`NormCache`] and a persistent [`Session`] — the path every prover
+/// and planner takes. The goal-closing search runs under the session's
+/// goal budget and is memoized across goals; its answer is
+/// byte-identical to [`prove_eq_saturate`] by construction (see the
+/// [`Session`] docs).
 ///
 /// # Errors
 ///
@@ -142,40 +153,4 @@ fn saturate_prefix(
     let nl = uninomial::axioms::saturate(&nl, axioms, gen, &mut trace);
     let nr = uninomial::axioms::saturate(&nr, axioms, gen, &mut trace);
     (trace, nl, nr)
-}
-
-fn prove_eq_saturate_impl(
-    lhs: &UExpr,
-    rhs: &UExpr,
-    axioms: &[RelAxiom],
-    gen: &mut VarGen,
-    cache: Option<&mut NormCache>,
-    budget: Budget,
-) -> Result<Proof, SaturateFailure> {
-    let (mut trace, nl, nr) = saturate_prefix(lhs, rhs, axioms, gen, cache);
-    let el = nl.reify();
-    let er = nr.reify();
-    let mut solver = Solver::new(budget);
-    solver.reserve_names_above(el.max_var_id().max(er.max_var_id()));
-    let l = solver.seed_expr(&el);
-    let r = solver.seed_expr(&er);
-    // Propositional goals may be equal only up to bi-implication; the
-    // `PropExt` rewrite works on squash classes, and `‖P‖ = P` for
-    // propositions (SquashProp), so seeding the squash-wrapped sides
-    // routes such goals through it.
-    if nl.is_prop() && nr.is_prop() {
-        solver.seed_expr(&UExpr::squash(el.clone()));
-        solver.seed_expr(&UExpr::squash(er.clone()));
-    }
-    let (outcome, stats) = solver.run(l, r);
-    if outcome == Outcome::Proved {
-        solver.explain_into(l, r, &mut trace);
-        return Ok(Proof::new(Method::Saturate, trace, nl, nr));
-    }
-    Err(SaturateFailure {
-        lhs_nf: nl.to_string(),
-        rhs_nf: nr.to_string(),
-        outcome,
-        stats,
-    })
 }

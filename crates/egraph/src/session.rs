@@ -2,39 +2,37 @@
 //!
 //! A [`Session`] is the long-lived counterpart of the one-shot
 //! [`Solver`]: one e-graph, one compiled rewrite set, and one set of
-//! memo caches that live across *many* goals — one session per batch
-//! worker, shared across the whole batch. It provides three things the
-//! fresh-solver-per-goal pipeline cannot:
+//! memo caches that live across *many* goals. It provides three things
+//! the fresh-solver-per-goal pipeline cannot:
 //!
 //! - **Goal memoization** ([`Session::close_goal`]): a goal is keyed by
 //!   its (hash-consed) normalized sides; posing the same obligation
 //!   twice returns the recorded verdict *and the byte-identical lemma
 //!   trace* without re-running the search. Production query traffic is
-//!   heavily repetitive, so this is the headline amortization.
+//!   heavily repetitive, so this is the headline amortization; proving
+//!   and planning keep one session per batch worker for it.
 //! - **Incremental multi-seed saturation** ([`Session::add_root`] +
 //!   [`Session::resume`]): roots can be added after a saturate pass and
 //!   saturation *resumes* from the current graph instead of restarting.
 //!   The e-graph's [`generation`](crate::graph::EGraph::generation)
 //!   counter makes a resume with no new seeds a strict no-op.
 //! - **Cross-seed discovery** ([`Session::discovered`]): with many
-//!   goals' sides seeded into one graph, saturation merges classes *of
-//!   different goals* — equalities no single-seed search would pose.
-//!   These surface as an additive report (`dopcert catalog --discover`),
-//!   never as changes to per-goal answers.
+//!   roots seeded into one graph, saturation merges classes *of
+//!   different roots* — equalities no single-seed search would pose.
+//!   Catalog discovery (`dopcert catalog --discover`) and the rule
+//!   miner seed their own sessions for this; closing a goal seeds
+//!   nothing.
 //!
 //! **Determinism is a hard requirement**: session-mode verdicts and
 //! traces must be byte-identical to fresh-solver mode. The session
 //! guarantees this *by construction*: every goal is answered by a
 //! deterministic goal-scoped derivation (an isolated solver seeded with
-//! exactly that goal, just like fresh mode) whose result is memoized;
-//! the shared multi-seed graph is a side-channel that accelerates
-//! repeats and discovers new equalities but never alters what a goal
-//! reports. The memo hit IS the perf win; the shared graph is the
-//! discovery win.
+//! exactly that goal, just like fresh mode) whose result is memoized.
+//! The shared multi-seed graph never takes part in answering a goal.
 //!
 //! Budgets are batch-level with per-goal accounting: the shared graph
 //! runs under a [`BatchBudget`] whose per-goal iteration cap bounds how
-//! much discovery work any one goal may charge, so a runaway goal
+//! much discovery work any one resume may charge, so a runaway seed
 //! cannot starve the rest of the batch.
 
 use crate::solve::{Budget, Outcome, Solver, Stats};
@@ -208,9 +206,7 @@ impl Session {
     /// The answer — verdict *and* appended steps — is byte-identical to
     /// what a fresh [`Solver`] run on exactly this goal produces: a
     /// memo miss runs that isolated derivation and records it; a memo
-    /// hit replays the recording. Afterwards the goal's sides are
-    /// seeded into the shared graph and saturation resumes under the
-    /// remaining batch budget (the discovery side-channel).
+    /// hit replays the recording. The shared graph is left untouched.
     ///
     /// # Errors
     ///
@@ -256,7 +252,7 @@ impl Session {
         self.stats.local_iters += stats.iters;
         telemetry::profile_count("session", "goal_derivations", 1);
         telemetry::profile_count("session", "local_iters", stats.iters as u64);
-        let result = if outcome == Outcome::Proved {
+        if outcome == Outcome::Proved {
             let mark = trace.len();
             solver.explain_into(l, r, trace);
             let steps = trace.steps()[mark..].to_vec();
@@ -266,15 +262,7 @@ impl Session {
             self.memo
                 .insert(key, MemoEntry::Unproved { outcome, stats });
             Err((outcome, stats))
-        };
-        // Discovery side-channel: seed both sides into the shared graph.
-        // Seeding is hash-consing only — saturation of the shared graph
-        // is LAZY (it runs when discovery is queried), so goals that
-        // never consult discovery pay nothing beyond the seed.
-        let n = self.stats.goals;
-        self.add_root(format!("goal{n}/lhs"), el);
-        self.add_root(format!("goal{n}/rhs"), er);
-        result
+        }
     }
 
     /// Seeds a tagged root into the shared graph, returning its class.

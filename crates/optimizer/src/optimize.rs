@@ -36,7 +36,7 @@ use relalg::Schema;
 use std::fmt;
 use std::sync::Arc;
 use uninomial::normalize::{normalize, normalize_with_cache, NormCache, Trace};
-use uninomial::prove::{prove_eq_cached, prove_eq_with_axioms, Method, ProofTrace};
+use uninomial::prove::{prove_eq_cached, prove_eq_with_axioms, Method, Proof, ProofTrace};
 use uninomial::syntax::{Term, UExpr, VarGen};
 
 /// Optimization options.
@@ -81,15 +81,18 @@ pub struct Certificate {
 
 impl Certificate {
     /// Replays the certificate: re-derives the input ≡ output proof
-    /// through the same (deterministic) pipeline and checks that it
-    /// reproduces this trace step for step. `false` means the
-    /// certificate does not match what the checker derives — a corrupt
-    /// or forged report.
+    /// on uncached, sessionless provers (tactics, then a fresh
+    /// saturation solver) and checks that it reproduces this trace step
+    /// for step. `false` means the certificate does not match what the
+    /// checker derives — a corrupt or forged report, or a memo that
+    /// diverged from the pipeline it caches.
     pub fn replay(&self, input: &Query, output: &Query, env: &QueryEnv, budget: Budget) -> bool {
-        match certify(input, output, env, budget, None, None) {
-            Some(fresh) => fresh.method == self.method && fresh.trace.steps() == self.trace.steps(),
-            None => false,
-        }
+        let fresh = derive(input, output, env, |el, er, gen| {
+            prove_eq_with_axioms(el, er, &[], gen)
+                .ok()
+                .or_else(|| egraph::prove_eq_saturate(el, er, &[], gen, budget).ok())
+        });
+        fresh.is_some_and(|c| c.method == self.method && c.trace.steps() == self.trace.steps())
     }
 }
 
@@ -147,18 +150,18 @@ impl std::error::Error for OptimizeError {}
 
 /// The normalization/session context an [`optimize`] call runs in.
 ///
-/// Every field is optional, so the one entry point covers every path:
-/// `PlanCtx::default()` is the fresh path, a cache alone memoizes
-/// normalization, and [`PlanCtx::session`] adds the persistent session.
 /// Borrowed (not owned) so a batch worker can thread its long-lived
-/// cache and session through many calls.
+/// cache and session through many calls ([`PlanCtx::session`]). A
+/// missing cache or session is replaced by a fresh one for the call,
+/// so `PlanCtx::default()` plans on fresh state; every call runs the
+/// same pipeline either way.
 #[derive(Debug, Default)]
 pub struct PlanCtx<'a> {
-    /// Memoized normalization. Reports are identical with or without
-    /// it (the cache is trace-exact).
+    /// Memoized normalization, kept across calls. Reports are identical
+    /// with a warm or a fresh cache (the cache is trace-exact).
     pub cache: Option<&'a mut NormCache>,
     /// Persistent per-worker session: plan memo, certificate memo, and
-    /// the shared multi-seed saturation graph.
+    /// the saturation goal memo, kept across calls.
     pub session: Option<&'a mut PlanSession>,
     /// Mined rewrite rules for the plan search (`--mined-rules`). The
     /// rules only widen the e-graph's search space; every candidate they
@@ -187,16 +190,14 @@ impl<'a> PlanCtx<'a> {
 }
 
 /// Optimizes a closed query under the given statistics — the single
-/// entry point for fresh, cached, and session-backed optimization.
+/// entry point for fresh and resident optimization.
 ///
-/// With a session in the context, repeated queries are answered from
-/// the plan memo, candidate certifications from the certificate memo
-/// (both byte-identical by determinism of the pipeline), and the
-/// query's input denotation, CQ-core route, and candidates all seed the
-/// session's shared multi-seed saturation graph for cross-seed
-/// discovery. Memoized reports are only valid under the exact
-/// configuration they were computed with; rebinding a session under a
-/// different one clears its memos rather than replaying stale costs.
+/// Repeated queries are answered from the session's plan memo and
+/// candidate certifications from its certificate memo, both
+/// byte-identical by determinism of the pipeline. Memoized reports are
+/// only valid under the exact configuration they were computed with;
+/// rebinding a session under a different one clears its memos rather
+/// than replaying stale costs.
 ///
 /// # Errors
 ///
@@ -209,35 +210,41 @@ pub fn optimize(
     ctx: PlanCtx<'_>,
 ) -> Result<OptimizeReport, OptimizeError> {
     let _span = telemetry::span("optimizer.query");
-    let PlanCtx {
-        cache,
-        mut session,
-        mined,
-    } = ctx;
-    let mined = mined.filter(|m| !m.is_empty());
-    if let Some(session) = session.as_deref_mut() {
-        // Mined rules change the reachable plan space, so memos computed
-        // with a different catalog (or none) must not replay; the
-        // fingerprint therefore names the catalog. With mining off, the
-        // fingerprint is byte-identical to a build without mining.
-        let mined_fp = match mined {
-            Some(m) => {
-                let labels: Vec<&str> = m.iter().map(|r| r.name.as_str()).collect();
-                format!("|mined:[{}]", labels.join(","))
-            }
-            None => String::new(),
-        };
-        session.bind_config(format!("{env:?}|{stats:?}|{opts:?}{mined_fp}"));
-        if let Some(report) = session.lookup_plan(q) {
-            telemetry::count("memo.plan.hit", 1);
-            return Ok(report);
+    let (mut fresh_cache, mut fresh_session);
+    let cache = match ctx.cache {
+        Some(cache) => cache,
+        None => {
+            fresh_cache = NormCache::new();
+            &mut fresh_cache
         }
+    };
+    let session = match ctx.session {
+        Some(session) => session,
+        None => {
+            fresh_session = PlanSession::new(opts.budget);
+            &mut fresh_session
+        }
+    };
+    let mined = ctx.mined.filter(|m| !m.is_empty());
+    // Mined rules change the reachable plan space, so memos computed
+    // with a different catalog (or none) must not replay; the
+    // fingerprint therefore names the catalog. With mining off, the
+    // fingerprint is byte-identical to a build without mining.
+    let mined_fp = match mined {
+        Some(m) => {
+            let labels: Vec<&str> = m.iter().map(|r| r.name.as_str()).collect();
+            format!("|mined:[{}]", labels.join(","))
+        }
+        None => String::new(),
+    };
+    session.bind_config(format!("{env:?}|{stats:?}|{opts:?}{mined_fp}"));
+    if let Some(report) = session.lookup_plan(q) {
+        telemetry::count("memo.plan.hit", 1);
+        return Ok(report);
     }
     telemetry::count("memo.plan.miss", 1);
-    let report = optimize_query_impl(q, env, stats, opts, cache, session.as_deref_mut(), mined)?;
-    if let Some(session) = session {
-        session.record_plan(q, &report);
-    }
+    let report = optimize_query_impl(q, env, stats, opts, cache, session, mined)?;
+    session.record_plan(q, &report);
     Ok(report)
 }
 
@@ -246,8 +253,8 @@ fn optimize_query_impl(
     env: &QueryEnv,
     stats: &Statistics,
     opts: OptimizeOptions,
-    mut cache: Option<&mut NormCache>,
-    mut session: Option<&mut PlanSession>,
+    cache: &mut NormCache,
+    session: &mut PlanSession,
     mined: Option<&Arc<Vec<MinedRule>>>,
 ) -> Result<OptimizeReport, OptimizeError> {
     let model = StatsCost::new(stats);
@@ -262,16 +269,12 @@ fn optimize_query_impl(
 
     // Plan search: normalize, seed, saturate, extract cheapest.
     let mut scratch = Trace::new();
-    let nf = match cache.as_deref_mut() {
-        Some(cache) => normalize_with_cache(&el, &mut gen, &mut scratch, cache),
-        None => normalize(&el, &mut gen, &mut scratch),
-    };
+    let nf = normalize_with_cache(&el, &mut gen, &mut scratch, cache);
     let mut solver = Solver::new(opts.budget);
     if let Some(m) = mined {
         solver.set_mined_rules(Arc::clone(m));
     }
-    let seed = nf.reify();
-    let root = solver.seed_expr(&seed);
+    let root = solver.seed_expr(&nf.reify());
     let (sat_outcome, sat_stats) = {
         let _s = telemetry::span("optimizer.search");
         solver.saturate()
@@ -290,35 +293,6 @@ fn optimize_query_impl(
             if let Some(q2) = cq::translate::to_query(&core, env) {
                 candidates.push((q2, Route::CqMinimize));
             }
-        }
-    }
-    // Multi-seed discovery (session mode): the input, its CQ-core
-    // route, and every candidate seed the session's shared graph;
-    // saturation is lazy (it resumes when discovery is queried via
-    // `Session::discovered`). Purely a side-channel — the report below
-    // never reads the shared graph, so session-mode reports stay
-    // byte-identical to fresh mode.
-    if let Some(session) = session.as_deref_mut() {
-        let n = session.next_query_ordinal();
-        // The input's normal form is already in hand — seeding it is
-        // pure hash-consing. Candidates cost one (memoized) normalize
-        // each; their denotations are needed below by `measure` anyway.
-        session.sat.add_root(format!("q{n}/input"), &seed);
-        for (j, (cand, route)) in candidates.iter().enumerate() {
-            let mut cgen = VarGen::new();
-            let Ok((_, ce)) = denote_closed_query(cand, env, &mut cgen) else {
-                continue;
-            };
-            let mut scratch = Trace::new();
-            let cnf = match cache.as_deref_mut() {
-                Some(cache) => normalize_with_cache(&ce, &mut cgen, &mut scratch, cache),
-                None => normalize(&ce, &mut cgen, &mut scratch),
-            };
-            let tag = match route {
-                Route::CqMinimize => format!("q{n}/cq-core"),
-                _ => format!("q{n}/cand{j}"),
-            };
-            session.sat.add_root(tag, &cnf.reify());
         }
     }
     // Measure every candidate the same way the input was measured,
@@ -348,14 +322,7 @@ fn optimize_query_impl(
     // Ship the cheapest candidate that certifies; the input always
     // does (reflexive proof), so the loop cannot fall through.
     for (k, (cost, cand, route)) in measured.into_iter().enumerate() {
-        let Some(certificate) = certify(
-            q,
-            &cand,
-            env,
-            opts.budget,
-            cache.as_deref_mut(),
-            session.as_deref_mut(),
-        ) else {
+        let Some(certificate) = certify(q, &cand, env, cache, session) else {
             continue;
         };
         let route = if cand == *q { Route::Unchanged } else { route };
@@ -401,26 +368,41 @@ fn measure(q: &Query, env: &QueryEnv, model: &StatsCost) -> Option<Cost> {
     Some(cost_uexpr(&e.beta_reduce_terms(), model))
 }
 
-/// Proves `input ≡ output` with the ordinary prover stack and packages
-/// the trace as a [`Certificate`]. Deterministic: the same pair always
-/// yields the same trace, which is what makes certificates replayable —
-/// and what makes the session's certificate memo byte-exact.
+/// Proves `input ≡ output` with the ordinary prover stack — tactics,
+/// then saturation through the session — and packages the trace as a
+/// [`Certificate`]. Deterministic: the same pair always yields the same
+/// trace, which is what makes certificates replayable — and what makes
+/// the session's certificate memo byte-exact.
 fn certify(
     input: &Query,
     output: &Query,
     env: &QueryEnv,
-    budget: Budget,
-    cache: Option<&mut NormCache>,
-    mut session: Option<&mut PlanSession>,
+    cache: &mut NormCache,
+    session: &mut PlanSession,
 ) -> Option<Certificate> {
     let _span = telemetry::span("optimizer.certify");
-    if let Some(session) = session.as_deref_mut() {
-        if let Some(hit) = session.lookup_cert(input, output) {
-            telemetry::count("memo.cert.hit", 1);
-            return hit;
-        }
+    if let Some(hit) = session.lookup_cert(input, output) {
+        telemetry::count("memo.cert.hit", 1);
+        return hit;
     }
     telemetry::count("memo.cert.miss", 1);
+    let cert = derive(input, output, env, |el, er, gen| {
+        prove_eq_cached(el, er, &[], gen, cache).ok().or_else(|| {
+            egraph::prove_eq_saturate_session(el, er, &[], gen, cache, &mut session.sat).ok()
+        })
+    });
+    session.record_cert(input, output, cert.clone());
+    cert
+}
+
+/// Denotes `input` and `output` over one output tuple variable and
+/// packages what `prove` derives from the two denotations.
+fn derive(
+    input: &Query,
+    output: &Query,
+    env: &QueryEnv,
+    prove: impl FnOnce(&UExpr, &UExpr, &mut VarGen) -> Option<Proof>,
+) -> Option<Certificate> {
     let mut gen = VarGen::new();
     let (t, el) = denote_closed_query(input, env, &mut gen).ok()?;
     let er = denote_query(
@@ -432,38 +414,9 @@ fn certify(
         &mut gen,
     )
     .ok()?;
-    let package = |proof: &uninomial::prove::Proof| Certificate {
+    let proof = prove(&el, &er, &mut gen)?;
+    Some(Certificate {
         method: proof.method(),
         trace: proof.trace().clone(),
-    };
-    let cert = match cache {
-        Some(cache) => match prove_eq_cached(&el, &er, &[], &mut gen, cache) {
-            Ok(proof) => Some(package(&proof)),
-            Err(_) => match session.as_deref_mut() {
-                Some(session) => egraph::prove_eq_saturate_session(
-                    &el,
-                    &er,
-                    &[],
-                    &mut gen,
-                    cache,
-                    &mut session.sat,
-                )
-                .ok()
-                .map(|proof| package(&proof)),
-                None => egraph::prove_eq_saturate_cached(&el, &er, &[], &mut gen, cache, budget)
-                    .ok()
-                    .map(|proof| package(&proof)),
-            },
-        },
-        None => match prove_eq_with_axioms(&el, &er, &[], &mut gen) {
-            Ok(proof) => Some(package(&proof)),
-            Err(_) => egraph::prove_eq_saturate(&el, &er, &[], &mut gen, budget)
-                .ok()
-                .map(|proof| package(&proof)),
-        },
-    };
-    if let Some(session) = session {
-        session.record_cert(input, output, cert.clone());
-    }
-    cert
+    })
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`PlanSession`] is the optimizer's face of [`egraph::Session`]:
 //! one per batch worker, shared across every query the worker
-//! optimizes. It layers two memo tables over the shared multi-seed
-//! saturation session:
+//! optimizes. It layers two memo tables over the saturation session's
+//! goal memo:
 //!
 //! - **plan memo** — query → finished [`OptimizeReport`]. The
 //!   optimization pipeline is deterministic, so a repeated query (the
@@ -14,14 +14,9 @@
 //!   plans recur across related queries, and the reflexive certificate
 //!   of an already-seen query is free.
 //!
-//! The embedded saturation session is *multi-seed*: the input query's
-//! normalized denotation, its CQ-core route, and the other candidates
-//! all seed the same shared graph (tagged `q{n}/input`, `q{n}/cq-core`,
-//! `q{n}/cand{j}`), so resumed saturation can merge classes across
-//! queries — cross-seed equalities no single-query search would pose.
-//! Discovery is a side-channel: reports stay byte-identical to fresh
-//! mode, and [`egraph::Session::discovered`] exposes what the batch
-//! graph found.
+//! The embedded saturation session memoizes the certificates' goal-
+//! closing searches. Every memo replays a deterministic computation, so
+//! reports are byte-identical to planning each query on fresh state.
 
 use crate::optimize::{Certificate, OptimizeReport};
 use egraph::session::Session;
@@ -34,7 +29,7 @@ use std::sync::Arc;
 /// A persistent per-worker optimization session.
 #[derive(Debug)]
 pub struct PlanSession {
-    /// The underlying multi-seed saturation session.
+    /// The saturation session whose goal memo certification runs on.
     pub sat: Session,
     plans: HashMap<Query, OptimizeReport>,
     /// Certificate memo, nested so lookups need no key allocation:
@@ -47,7 +42,6 @@ pub struct PlanSession {
     config: Option<String>,
     plan_hits: usize,
     cert_hits: usize,
-    queries: usize,
     publish: Option<Arc<AtomicUsize>>,
 }
 
@@ -61,7 +55,6 @@ impl PlanSession {
             config: None,
             plan_hits: 0,
             cert_hits: 0,
-            queries: 0,
             publish: None,
         }
     }
@@ -77,8 +70,8 @@ impl PlanSession {
     /// Binds the session to an optimization configuration. Reports and
     /// certificates depend on the environment, statistics, and options
     /// — not just the query — so reusing a session under a *different*
-    /// configuration invalidates the memos (the multi-seed graph is
-    /// kept; its equalities are configuration-independent).
+    /// configuration invalidates the memos (the saturation session is
+    /// kept; its goal answers are configuration-independent).
     pub fn bind_config(&mut self, fingerprint: String) {
         if self.config.as_deref() != Some(fingerprint.as_str()) {
             if self.config.is_some() {
@@ -124,12 +117,6 @@ impl PlanSession {
             .entry(input.clone())
             .or_default()
             .insert(output.clone(), cert);
-    }
-
-    /// Allocates the next query ordinal for discovery-root tags.
-    pub fn next_query_ordinal(&mut self) -> usize {
-        self.queries += 1;
-        self.queries
     }
 
     /// Queries answered from the plan memo.
