@@ -13,10 +13,12 @@
 //!
 //! Regression mode: `scale diff baseline.json candidate.json
 //! [--tolerance pct]` compares two artifacts series-by-series. A schema
-//! mismatch or a series present in the baseline but missing from the
-//! candidate is a hard failure (exit 1); numeric regressions beyond the
-//! tolerance are warnings only (exit 0) — deterministic count fields
-//! (anything that is not a timing) must match exactly.
+//! mismatch, a series present in the baseline but missing from the
+//! candidate, or a deterministic count (any field that is not a timing)
+//! that changed or went missing is a hard failure (exit 1). Timings
+//! beyond the tolerance and fields new in the candidate are warnings
+//! only. The counts are reproducible on one CPU (`taskset -c 0`): with
+//! more workers each one's private memo misses every distinct goal.
 
 use dopcert::engine::{Engine, EngineConfig};
 use dopcert::prove::{ProveOptions, SaturateMode};
@@ -531,6 +533,10 @@ fn series_key(obj: &Json) -> Option<String> {
 
 fn load_artifact(path: &str) -> Result<Artifact, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
+    parse_artifact(path, &text)
+}
+
+fn parse_artifact(path: &str, text: &str) -> Result<Artifact, String> {
     let mut schema = None;
     let mut series_names = Vec::new();
     let mut measurements = Vec::new();
@@ -573,90 +579,81 @@ fn is_timing_field(key: &str) -> bool {
     key.contains("millis") || key.ends_with("_ms") || key.ends_with("_ns")
 }
 
-/// Walks two JSON values in parallel, appending one warning line per
+/// What `diff` found: any error fails the run (exit 1), warnings only
+/// print.
+#[derive(Debug, Default)]
+struct Findings {
+    errors: Vec<String>,
+    warnings: Vec<String>,
+    compared: usize,
+}
+
+/// Walks two JSON values in parallel, recording one finding per
 /// divergence. `path` names the location for the report.
-fn diff_values(path: &str, base: &Json, cand: &Json, tolerance: f64, warnings: &mut Vec<String>) {
+fn diff_values(path: &str, base: &Json, cand: &Json, tolerance: f64, found: &mut Findings) {
     match (base, cand) {
         (Json::Num(b), Json::Num(c)) => {
             let key = path.rsplit('.').next().unwrap_or(path);
             if is_timing_field(key) {
                 if *c > *b * (1.0 + tolerance / 100.0) && *c - *b > 1.0 {
-                    warnings.push(format!(
+                    found.warnings.push(format!(
                         "{path}: {c:.1} vs baseline {b:.1} ({:+.1}%, tolerance {tolerance}%)",
                         100.0 * (c - b) / b.max(1e-9)
                     ));
                 }
             } else if b != c {
-                warnings.push(format!(
+                found.errors.push(format!(
                     "{path}: deterministic field changed: {c} vs baseline {b}"
                 ));
             }
         }
         (Json::Obj(b), Json::Obj(c)) => {
             for (k, bv) in b {
+                let sub = format!("{path}.{k}");
                 match c.get(k) {
-                    Some(cv) => diff_values(&format!("{path}.{k}"), bv, cv, tolerance, warnings),
-                    None => warnings.push(format!("{path}.{k}: missing from candidate")),
+                    Some(cv) => diff_values(&sub, bv, cv, tolerance, found),
+                    None if is_timing_field(k) => found
+                        .warnings
+                        .push(format!("{sub}: missing from candidate")),
+                    None => found.errors.push(format!("{sub}: missing from candidate")),
                 }
             }
             for k in c.keys().filter(|k| !b.contains_key(*k)) {
-                warnings.push(format!("{path}.{k}: new field absent from baseline"));
+                found
+                    .warnings
+                    .push(format!("{path}.{k}: new field absent from baseline"));
             }
         }
         (Json::Arr(b), Json::Arr(c)) => {
             if b.len() != c.len() {
-                warnings.push(format!(
+                found.errors.push(format!(
                     "{path}: length changed: {} vs baseline {}",
                     c.len(),
                     b.len()
                 ));
             }
             for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
-                diff_values(&format!("{path}[{i}]"), bv, cv, tolerance, warnings);
+                diff_values(&format!("{path}[{i}]"), bv, cv, tolerance, found);
             }
         }
         _ => {
             if base != cand {
-                warnings.push(format!("{path}: value changed shape or content"));
+                found
+                    .errors
+                    .push(format!("{path}: value changed shape or content"));
             }
         }
     }
 }
 
-fn run_diff(args: &[String]) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut tolerance = 25.0;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--tolerance" {
-            let pct = it.next().expect("--tolerance needs a percentage");
-            tolerance = pct.parse().expect("tolerance must be a number");
-        } else {
-            paths.push(arg.clone());
-        }
-    }
-    let [base_path, cand_path] = paths.as_slice() else {
-        eprintln!("usage: scale diff <baseline.json> <candidate.json> [--tolerance pct]");
-        return ExitCode::FAILURE;
-    };
-    let (base, cand) = match (load_artifact(base_path), load_artifact(cand_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (b, c) => {
-            for e in [b.err(), c.err()].into_iter().flatten() {
-                eprintln!("bench diff: error: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Hard failures: incompatible schema, or a baseline series with no
-    // candidate measurement at all.
+fn diff_artifacts(base: &Artifact, cand: &Artifact, tolerance: f64) -> Findings {
+    let mut found = Findings::default();
     if base.schema != cand.schema {
-        eprintln!(
-            "bench diff: error: schema mismatch: baseline v{} vs candidate v{}",
+        found.errors.push(format!(
+            "schema mismatch: baseline v{} vs candidate v{}",
             base.schema, cand.schema
-        );
-        return ExitCode::FAILURE;
+        ));
+        return found;
     }
     // Coverage is judged over the *intersection* of the two meta series
     // lists: a series only one artifact's harness knows about (an older
@@ -694,29 +691,104 @@ fn run_diff(args: &[String]) -> ExitCode {
             missing.push(key.clone());
         }
     }
-    if !missing.is_empty() {
-        for name in &missing {
-            eprintln!("bench diff: error: series missing from candidate: {name}");
-        }
-        return ExitCode::FAILURE;
+    for name in missing {
+        found
+            .errors
+            .push(format!("series missing from candidate: {name}"));
     }
 
-    // Series-by-series numeric comparison: warn-only.
-    let mut warnings = Vec::new();
-    let mut compared = 0;
     for (key, base_obj) in &base.measurements {
         let Some((_, cand_obj)) = cand.measurements.iter().find(|(k, _)| k == key) else {
             continue;
         };
-        compared += 1;
-        diff_values(key, base_obj, cand_obj, tolerance, &mut warnings);
+        found.compared += 1;
+        diff_values(key, base_obj, cand_obj, tolerance, &mut found);
     }
-    for w in &warnings {
+    found
+}
+
+fn run_diff(args: &[String]) -> ExitCode {
+    let mut paths = Vec::new();
+    let mut tolerance = 25.0;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--tolerance" {
+            let pct = it.next().expect("--tolerance needs a percentage");
+            tolerance = pct.parse().expect("tolerance must be a number");
+        } else {
+            paths.push(arg.clone());
+        }
+    }
+    let [base_path, cand_path] = paths.as_slice() else {
+        eprintln!("usage: scale diff <baseline.json> <candidate.json> [--tolerance pct]");
+        return ExitCode::FAILURE;
+    };
+    let (base, cand) = match (load_artifact(base_path), load_artifact(cand_path)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (b, c) => {
+            for e in [b.err(), c.err()].into_iter().flatten() {
+                eprintln!("bench diff: error: {e}");
+            }
+            return ExitCode::FAILURE;
+        }
+    };
+
+    let found = diff_artifacts(&base, &cand, tolerance);
+    for w in &found.warnings {
         println!("WARN {w}");
     }
+    for e in &found.errors {
+        eprintln!("bench diff: error: {e}");
+    }
     println!(
-        "bench diff: {compared} series compared, {} warnings (tolerance {tolerance}%)",
-        warnings.len()
+        "bench diff: {} series compared, {} errors, {} warnings (tolerance {tolerance}%)",
+        found.compared,
+        found.errors.len(),
+        found.warnings.len()
     );
-    ExitCode::SUCCESS
+    if found.errors.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: &str = r#"{"bench":"cq_scale","pairs":1000,"equivalent":1000,"millis":2.0}"#;
+
+    fn diff(cand: &str) -> Findings {
+        let artifact = |line: &str| {
+            let meta = r#"{"bench":"meta","schema":3,"series":["cq_scale"]}"#;
+            parse_artifact("test", &format!("{meta}\n{line}\n")).expect("artifact parses")
+        };
+        diff_artifacts(&artifact(BASE), &artifact(cand), 25.0)
+    }
+
+    #[test]
+    fn a_changed_count_fails() {
+        let found = diff(r#"{"bench":"cq_scale","pairs":1000,"equivalent":999,"millis":2.0}"#);
+        assert_eq!(found.compared, 1);
+        assert_eq!(found.errors.len(), 1, "{found:?}");
+        assert!(found.errors[0].contains("equivalent"), "{found:?}");
+    }
+
+    #[test]
+    fn a_missing_count_fails() {
+        let found = diff(r#"{"bench":"cq_scale","pairs":1000,"millis":2.0}"#);
+        assert_eq!(found.errors.len(), 1, "{found:?}");
+        assert!(found.errors[0].contains("equivalent: missing"), "{found:?}");
+    }
+
+    #[test]
+    fn a_slow_timing_or_a_new_field_only_warns() {
+        let same = diff(BASE);
+        assert!(same.errors.is_empty() && same.warnings.is_empty());
+        let found =
+            diff(r#"{"bench":"cq_scale","pairs":1000,"equivalent":1000,"millis":20.0,"new":1}"#);
+        assert!(found.errors.is_empty(), "{found:?}");
+        assert_eq!(found.warnings.len(), 2, "{found:?}");
+    }
 }

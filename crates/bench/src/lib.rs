@@ -1,9 +1,9 @@
 //! Shared harness code for regenerating the paper's tables and figures.
 //!
-//! Each experiment has (a) a printable harness binary (`fig8`, `fig9`,
-//! `baseline`) that emits the same rows/series the paper reports, and
-//! (b) a Criterion benchmark measuring the same workload. This library
-//! holds the workload definitions shared by both.
+//! Each experiment has a printable harness binary (`fig8`, `fig9`,
+//! `baseline`) that emits the same rows/series the paper reports; the
+//! `scale` binary emits the versioned BENCH series that `scale diff`
+//! gates. This library holds the workload definitions they share.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -19,15 +19,6 @@ use std::time::{Duration, Instant};
 /// order; verdicts identical to the sequential path).
 pub fn fig8_reports() -> Vec<RuleReport> {
     Engine::new().prove_catalog(&dopcert::catalog::sound_rules())
-}
-
-/// The sequential baseline the engine replaced: one rule after another,
-/// no memoization. Kept for the `engine_parallel` benchmark comparison.
-pub fn fig8_reports_sequential() -> Vec<RuleReport> {
-    dopcert::catalog::sound_rules()
-        .iter()
-        .map(prove_rule)
-        .collect()
 }
 
 /// Renders the Fig. 8 table (category, rule count, average proof steps —
@@ -441,29 +432,6 @@ pub fn prove_corpus(
         .collect()
 }
 
-/// Generates the Cq pair of Fig. 10 (used by both the example and the
-/// benchmark).
-pub fn fig10_pair() -> (Cq, Cq) {
-    use cq::{CqAtom, CqTerm};
-    let v = CqTerm::Var;
-    let q1 = Cq::new(
-        vec![v(0)],
-        vec![
-            CqAtom::new("R1", vec![v(0), v(1)]),
-            CqAtom::new("R2", vec![v(1)]),
-        ],
-    );
-    let q2 = Cq::new(
-        vec![v(0)],
-        vec![
-            CqAtom::new("R1", vec![v(0), v(1)]),
-            CqAtom::new("R1", vec![v(0), v(2)]),
-            CqAtom::new("R2", vec![v(1)]),
-        ],
-    );
-    (q1, q2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,45 +450,54 @@ mod tests {
     fn fig9_series_shapes() {
         let c = fig9_containment_series(&[2, 3], 6);
         assert_eq!(c.len(), 2);
-        let b = fig9_bag_series(&[2, 4]);
+        // A k-clique restricts to a (k-1)-clique, so answers only go
+        // from true to false as k grows.
+        let c = fig9_containment_series(&[2, 3, 4, 5], 9);
+        assert!(c.windows(2).all(|w| w[0].answer || !w[1].answer));
+        let b = fig9_bag_series(&[2, 4, 8, 16]);
         assert!(b.iter().all(|p| p.answer), "shuffled copies are equivalent");
-        let u = fig9_ucq_series(&[1, 2]);
+        let u = fig9_ucq_series(&[1, 2, 4, 8]);
         assert!(u.iter().all(|p| p.answer), "longer chains are contained");
-        let m = minimize_series(&[3, 5]);
+        let m = minimize_series(&[3, 4, 5, 8, 12]);
         assert!(m.iter().all(|p| p.answer), "stars minimize to one atom");
     }
 
     #[test]
     fn baseline_measures() {
         assert!(baseline_proof_steps() >= 1);
-        let (list, rel) = baseline_equivalence_times(500);
-        // Both must complete; no timing assertion (CI noise), just sanity.
-        assert!(list.as_nanos() > 0 && rel.as_nanos() > 0);
-    }
-
-    #[test]
-    fn fig10_pair_is_equivalent() {
-        let (a, b) = fig10_pair();
-        assert!(cq::containment::equivalent_set(&a, &b));
-        assert!(!cq::bag::bag_equivalent(&a, &b));
+        for n in [500, 1_000, 10_000] {
+            let (list, rel) = baseline_equivalence_times(n);
+            // Both must complete; no timing assertion (CI noise), just sanity.
+            assert!(list.as_nanos() > 0 && rel.as_nanos() > 0);
+        }
     }
 
     #[test]
     fn cq_pair_batch_decides_all_equivalent() {
-        let pairs = cq::generate::equivalent_pairs(7, 200);
-        assert_eq!(decide_cq_pairs(&pairs), 200);
+        for (seed, n) in [(7, 200), (0x5CA1E, 1000), (0x5CA1E, 2000)] {
+            let pairs = cq::generate::equivalent_pairs(seed, n);
+            assert_eq!(decide_cq_pairs(&pairs), n);
+        }
     }
 
     #[test]
     fn saturation_mode_proves_the_catalog() {
         use dopcert::prove::{ProveOptions, SaturateMode, VerifyMethod};
-        let reports = fig8_reports_with(ProveOptions {
-            saturate: SaturateMode::Only,
-            ..ProveOptions::default()
-        });
-        assert!(reports.iter().all(|r| r.proved));
-        assert!(reports
-            .iter()
-            .any(|r| r.method == Some(VerifyMethod::Saturation)));
+        for saturate in [
+            SaturateMode::Off,
+            SaturateMode::Only,
+            SaturateMode::Fallback,
+        ] {
+            let reports = fig8_reports_with(ProveOptions {
+                saturate,
+                ..ProveOptions::default()
+            });
+            assert!(reports.iter().all(|r| r.proved), "{saturate:?}");
+            if saturate == SaturateMode::Only {
+                assert!(reports
+                    .iter()
+                    .any(|r| r.method == Some(VerifyMethod::Saturation)));
+            }
+        }
     }
 }

@@ -823,6 +823,9 @@ mod tests {
         // `bwd` witnesses q2 ⊆ q1: the identity-like embedding (blue).
         assert_eq!(bwd.apply(&v(0)), v(0));
         assert_eq!(bwd.apply(&v(1)), v(1));
+        // Set-equivalent but not bag-equivalent: q2's extra R1 atom
+        // multiplies each answer's multiplicity.
+        assert!(!crate::bag::bag_equivalent(&q1, &q2));
     }
 
     #[test]

@@ -162,10 +162,8 @@ impl Engine {
     /// The full catalog check the CLI runs: each rule passes when the
     /// prover's verdict matches its expected soundness; an unsound rule
     /// the prover *wrongly accepts* can still pass via the fallback —
-    /// differential testing refuting it with a concrete counterexample
-    /// (the same acceptance condition as the old sequential
-    /// `script::run_catalog` loop this replaces). Returns
-    /// `(name, passed)` in catalog order.
+    /// differential testing refuting it with a concrete counterexample.
+    /// Returns `(name, passed)` in catalog order.
     pub fn check_catalog(&self, rules: &[Rule]) -> Vec<(String, bool)> {
         let opts = self.config.prove;
         self.par_map(

@@ -441,14 +441,6 @@ pub fn run_script_in(script: &Script, prover: &mut Prover) -> Vec<GoalOutcome> {
         .collect()
 }
 
-/// Convenience: run all built-in catalog rules as if they were a script
-/// (used by the CLI's `--catalog` mode). Delegates to the parallel
-/// batch engine — the sequential loop this function used to be lives on
-/// only as `Engine::with_threads(1)`.
-pub fn run_catalog() -> Vec<(String, bool)> {
-    crate::engine::Engine::new().check_catalog(&crate::catalog::all_rules())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -412,6 +412,9 @@ impl Server {
                 let Ok(stream) = stream else { continue };
                 let shared = Arc::clone(&listener_shared);
                 let senders = listener_senders.clone();
+                // Dropping a finished connection's handle releases its
+                // stack; `wait` joins the ones still open.
+                connections.retain(|conn: &JoinHandle<()>| !conn.is_finished());
                 connections.push(std::thread::spawn(move || {
                     serve_connection(stream, &shared, &senders);
                 }));

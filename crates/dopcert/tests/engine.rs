@@ -70,4 +70,12 @@ fn engine_difftest_matches_direct_difftest_verdicts() {
             "unsound rule {name} not refuted by the engine path: {outcome:?}"
         );
     }
+    // Sound rules agree on every trial, through the engine and directly.
+    let rules = catalog::sound_rules();
+    let outcomes = engine.difftest_catalog(&rules, 8, 0xDA7A);
+    for (rule, (name, outcome)) in rules.iter().zip(&outcomes) {
+        assert_eq!(rule.name, name);
+        assert!(outcome.agreed(), "sound rule {name} refuted: {outcome:?}");
+        assert!(dopcert::difftest::differential_test(rule, 8, 0xDA7A).agreed());
+    }
 }

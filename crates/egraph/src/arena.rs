@@ -367,11 +367,6 @@ impl NodeArena {
             ),
         }
     }
-
-    /// The interned value behind a `Const` payload.
-    pub(crate) fn value(&self, v: ValueId) -> &Value {
-        &self.values[v.0 as usize]
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@
 use crate::arena::{CNode, NodeArena};
 use crate::lang::{node_to_term, node_to_uexpr, ENode, NameEnv};
 use crate::unionfind::{Id, Justification, UnionFind};
-use relalg::Value;
 use std::collections::{HashMap, HashSet};
 use uninomial::lemmas::Lemma;
 use uninomial::normalize::Trace;
@@ -198,16 +197,6 @@ impl EGraph {
         }
     }
 
-    /// All canonical class ids (post-rebuild snapshot).
-    pub fn class_ids(&mut self) -> Vec<Id> {
-        let ids: Vec<Id> = self.classes.keys().copied().collect();
-        ids.into_iter()
-            .map(|i| self.uf.find(i))
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect()
-    }
-
     /// Interns a node (children need not be canonical), returning its
     /// class id. Theory simplification may collapse it to an existing
     /// class without creating a node.
@@ -362,14 +351,8 @@ impl EGraph {
         out
     }
 
-    /// The constant a term-sort class is known to equal, if any.
-    pub fn constant_of(&mut self, id: Id) -> Option<Value> {
-        let v = self.const_id_of(id)?;
-        Some(self.arena.value(v).clone())
-    }
-
-    /// Interned-id form of [`EGraph::constant_of`] (payload compare
-    /// without cloning the value).
+    /// The interned constant a term-sort class is known to equal, if
+    /// any (payload compare without cloning the value).
     fn const_id_of(&mut self, id: Id) -> Option<crate::arena::ValueId> {
         let id = self.uf.find(id);
         self.classes.get(&id)?.nodes.iter().find_map(|n| match n {
@@ -740,6 +723,7 @@ fn best_term<K: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relalg::Value;
 
     #[test]
     fn ac_is_structural() {

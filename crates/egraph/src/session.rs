@@ -355,11 +355,6 @@ impl Session {
         self.shared.explain_into(a, b, trace)
     }
 
-    /// The shared solver, for extraction-style consumers.
-    pub fn shared_solver(&mut self) -> &mut Solver {
-        &mut self.shared
-    }
-
     /// Drains the remaining batch budget: resumes shared saturation
     /// until the graph saturates, a node/iteration budget runs out, or
     /// nothing changes. This is what discovery consumers call before

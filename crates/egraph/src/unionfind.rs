@@ -108,15 +108,6 @@ impl UnionFind {
         root
     }
 
-    /// Canonical representative without mutation (no compression).
-    pub fn find_immutable(&self, id: Id) -> Id {
-        let mut root = id;
-        while self.parent[root.index()] != root {
-            root = self.parent[root.index()];
-        }
-        root
-    }
-
     /// Whether two ids are in the same class.
     pub fn same(&mut self, a: Id, b: Id) -> bool {
         self.find(a) == self.find(b)

@@ -232,11 +232,19 @@ mod tests {
 
     #[test]
     fn transitivity() {
-        let v = vars(3);
-        let mut cc = Congruence::new();
-        cc.add_eq(&v[0], &v[1]);
-        cc.add_eq(&v[1], &v[2]);
-        assert!(cc.equal(&v[0], &v[2]));
+        // A chain v0 = v1 = … closes end to end, and congruence lifts
+        // the end-to-end equality through a function symbol.
+        for n in [3, 8, 16, 32] {
+            let v = vars(n);
+            let mut cc = Congruence::new();
+            for w in v.windows(2) {
+                cc.add_eq(&w[0], &w[1]);
+            }
+            assert!(cc.equal(&v[0], &v[n - 1]));
+            let fa = Term::func("f", vec![v[0].clone()]);
+            let fb = Term::func("f", vec![v[n - 1].clone()]);
+            assert!(cc.equal(&fa, &fb));
+        }
     }
 
     #[test]

@@ -400,6 +400,32 @@ mod tests {
         let mut ctx = s.ctx();
         let hyps = hyp.terms[0].atoms.clone();
         assert!(provable_from(&hyps, &goal, &mut ctx));
+
+        // R(c1), …, R(cn) ⊢ ‖Σx,y. R(x) × R(y)‖ with n² candidate
+        // witness pairs; the entailed squash factor then cancels:
+        // R(c1) × … × R(cn) × ‖…‖ = R(c1) × … × R(cn).
+        for n in [2, 4, 6] {
+            let mut s = Setup::new();
+            let consts: Vec<_> = (0..n).map(|_| s.gen.fresh(leaf_int())).collect();
+            let hyp = UExpr::product(consts.iter().map(|c| UExpr::rel("R", Term::var(c))));
+            let x = s.gen.fresh(leaf_int());
+            let y = s.gen.fresh(leaf_int());
+            let goal = UExpr::squash(UExpr::sum(
+                x.clone(),
+                UExpr::sum(
+                    y.clone(),
+                    UExpr::mul(
+                        UExpr::rel("R", Term::var(&x)),
+                        UExpr::rel("R", Term::var(&y)),
+                    ),
+                ),
+            ));
+            let hyps = s.nf(&hyp).terms[0].atoms.clone();
+            assert_eq!(hyps.len(), n);
+            let goal_nf = s.nf(&goal);
+            assert!(provable_from(&hyps, &goal_nf, &mut s.ctx()));
+            assert!(crate::prove_eq(&UExpr::mul(hyp.clone(), goal), &hyp, &mut s.gen).is_ok());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! any normalization bug shows up as an evaluation mismatch on some
 //! random interpretation (see the property tests in `tests/`).
 
-use crate::normalize::{Atom, Spnf};
+use crate::normalize::Spnf;
 use crate::syntax::{Term, UExpr, Var};
 use relalg::ops::Aggregate;
 use relalg::{BaseType, Card, Relation, Schema, Tuple, Value};
@@ -251,15 +251,6 @@ pub fn eval(e: &UExpr, interp: &Interp, env: &Env) -> Result<Card, EvalError> {
 /// See [`eval`].
 pub fn eval_spnf(s: &Spnf, interp: &Interp, env: &Env) -> Result<Card, EvalError> {
     eval(&s.reify(), interp, env)
-}
-
-/// Evaluates a single atom (propositional reading for `Not`/`Squash`).
-///
-/// # Errors
-///
-/// See [`eval`].
-pub fn eval_atom(a: &Atom, interp: &Interp, env: &Env) -> Result<Card, EvalError> {
-    eval(&a.reify(), interp, env)
 }
 
 /// Builds an environment binding the free variables of an expression to

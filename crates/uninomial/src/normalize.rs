@@ -1122,15 +1122,24 @@ mod tests {
 
     #[test]
     fn pair_sum_splits() {
-        // Σx:(int × int). R(x)  becomes  Σx1,x2. R((x1,x2))  (Lemma 5.1)
-        let (mut g, mut tr) = setup();
-        let x = g.fresh(Schema::node(leaf_int(), leaf_int()));
-        let e = UExpr::sum(x.clone(), UExpr::rel("R", Term::var(&x)));
-        let n = normalize(&e, &mut g, &mut tr);
-        assert_eq!(n.terms.len(), 1);
-        assert_eq!(n.terms[0].vars.len(), 2, "{n}");
-        for v in &n.terms[0].vars {
-            assert!(matches!(v.schema, Schema::Leaf(_)));
+        // Σx:(int × int). R(x)  becomes  Σx1,x2. R((x1,x2))  (Lemma 5.1);
+        // a flat schema of width w splits into w leaf binders.
+        let wide = |w| Schema::flat(std::iter::repeat_n(BaseType::Int, w));
+        for (schema, width) in [
+            (Schema::node(leaf_int(), leaf_int()), 2),
+            (wide(4), 4),
+            (wide(8), 8),
+            (wide(16), 16),
+        ] {
+            let (mut g, mut tr) = setup();
+            let x = g.fresh(schema);
+            let e = UExpr::sum(x.clone(), UExpr::rel("R", Term::var(&x)));
+            let n = normalize(&e, &mut g, &mut tr);
+            assert_eq!(n.terms.len(), 1);
+            assert_eq!(n.terms[0].vars.len(), width, "{n}");
+            for v in &n.terms[0].vars {
+                assert!(matches!(v.schema, Schema::Leaf(_)));
+            }
         }
     }
 

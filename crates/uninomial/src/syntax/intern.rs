@@ -35,8 +35,8 @@ pub struct UExprId(u32);
 
 impl TermId {
     /// The raw arena index. Ids are issued densely from 0, so an index
-    /// below an interner's `term_count` addresses the same tree in every
-    /// clone of that interner.
+    /// below the number of terms an interner holds addresses the same
+    /// tree in every clone of that interner.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -119,16 +119,6 @@ impl Interner {
     /// An empty interner.
     pub fn new() -> Interner {
         Interner::default()
-    }
-
-    /// Number of distinct interned terms.
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Number of distinct interned expressions.
-    pub fn uexpr_count(&self) -> usize {
-        self.uexprs.len()
     }
 
     fn intern_term_node(&mut self, node: TermNode) -> TermId {
@@ -373,11 +363,6 @@ impl Interner {
     /// precondition for memoizing their normal forms.
     pub fn has_binder(&self, id: UExprId) -> bool {
         self.uexpr_meta(id).has_binder
-    }
-
-    /// Whether the interned term contains an aggregate binder.
-    pub fn term_has_binder(&self, id: TermId) -> bool {
-        self.term_meta(id).has_binder
     }
 }
 
