@@ -190,7 +190,8 @@ pub enum Request {
     },
     /// Cross-rule discovery alone over the sound catalog.
     Discover {
-        /// Verification options (the budget bounds the shared graph).
+        /// Verification options (the budget scales the discovery
+        /// graph's).
         opts: RequestOptions,
     },
     /// Run the rule-mining loop (`dopcert mine`): generate a CQ corpus,
@@ -306,7 +307,7 @@ pub struct MinedRuleReport {
 pub struct MineSummary {
     /// Closed corpus expressions seeded into the discovery session.
     pub corpus: usize,
-    /// Equal pairs the saturated session discovered.
+    /// Equal pairs the saturated discovery graph found.
     pub discovered: usize,
     /// Wellformed candidate schemas after dedup.
     pub candidates: usize,
@@ -617,11 +618,6 @@ impl Prover {
         }
     }
 
-    /// The options this prover verifies under.
-    pub fn options(&self) -> ProveOptions {
-        self.opts
-    }
-
     /// Routes the session's live memo-hit count into `sink` (stored on
     /// every subsequent hit): the serve daemon polls the sink so a
     /// long-running request shows memo progress before it finishes.
@@ -686,11 +682,6 @@ impl Planner {
             budget: opts.budget,
             mined: None,
         }
-    }
-
-    /// The saturation budget plan searches run under.
-    pub fn budget(&self) -> Budget {
-        self.budget
     }
 
     /// Sets (or clears) the mined-rule catalog the plan search uses.
@@ -843,7 +834,6 @@ pub fn execute(req: &Request) -> Response {
 pub struct Workspace {
     prover: Prover,
     planner: Planner,
-    defaults: RequestOptions,
     /// The resident mined catalog: set by `mine` requests (directly or
     /// via [`Workspace::set_mined_catalog`] when the daemon shares one
     /// catalog across workers), consulted by `optimize` requests with
@@ -859,7 +849,6 @@ impl Workspace {
         Workspace {
             prover: Prover::new(popts),
             planner: Planner::new(popts),
-            defaults,
             mined: None,
         }
     }
@@ -928,11 +917,6 @@ impl Workspace {
             // always run fresh.
             _ => execute(req),
         }
-    }
-
-    /// The default options resident requests are answered under.
-    pub fn defaults(&self) -> RequestOptions {
-        self.defaults
     }
 }
 

@@ -38,7 +38,7 @@
 //!   each worker keeps one persistent session, and answers are the same
 //!   whatever the worker count;
 //! - `--discover` — after `catalog` verification, saturate one
-//!   multi-seed session over every rule's sides and list the
+//!   multi-seed discovery graph over every rule's sides and list the
 //!   equalities it proved between *different* rules' seeds;
 //! - `--addr HOST:PORT` — listen address (`serve`) or daemon address
 //!   (`request`);

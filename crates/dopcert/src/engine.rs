@@ -13,9 +13,10 @@
 //! [`api::Planner`](crate::api::Planner) for optimizing. That state owns
 //! a private [`NormCache`], so structurally shared subterms normalize
 //! once per worker instead of once per occurrence, and a persistent
-//! session: verdicts, plans, certificates, and saturation goals are
-//! memoized across the worker's items. Answers are byte-identical to
-//! proving each item on fresh state, by construction.
+//! session: a prover memoizes verdicts and saturation goals, a planner
+//! finished plans, across the worker's items. Answers are
+//! byte-identical to proving each item on fresh state, by
+//! construction.
 //!
 //! Determinism: every worker uses its own [`VarGen`] (created per rule
 //! inside the prover, exactly as on the sequential path), and reports

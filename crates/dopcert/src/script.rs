@@ -127,13 +127,7 @@ impl fmt::Display for GoalOutcome {
 /// Returns a [`HottsqlError::Parse`] describing the first problem.
 pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
     let mut script = Script::default();
-    // Strip comments.
-    let cleaned: String = input
-        .lines()
-        .map(|l| l.split("--").next().unwrap_or(""))
-        .collect::<Vec<_>>()
-        .join("\n");
-    for (i, stmt) in cleaned.split(';').enumerate() {
+    for (i, stmt) in strip_comments(input).split(';').enumerate() {
         let stmt = stmt.trim();
         if stmt.is_empty() {
             continue;
@@ -166,14 +160,7 @@ pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
             script.stats =
                 std::mem::take(&mut script.stats).with_column_distinct(name, width, col, value);
         } else if let Some(rest) = stmt.strip_prefix("budget ") {
-            let mut parts = rest.split_whitespace();
-            let (Some(knob), Some(value), None) = (parts.next(), parts.next(), parts.next()) else {
-                return Err(err("budget directive needs `budget <knob> <value>`".into()));
-            };
-            // BudgetSpec is the single parse/validate point for budget
-            // knobs — scripts share it with CLI flags and serve
-            // requests.
-            script.budget.parse_set(knob, value).map_err(&err)?;
+            budget_directive(rest, &mut script.budget).map_err(&err)?;
         } else if let Some(rest) = stmt
             .strip_prefix("verify")
             .map(|r| (true, r))
@@ -198,6 +185,42 @@ pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
         }
     }
     Ok(script)
+}
+
+/// The script with `--` comments stripped; its statements are the
+/// `;`-separated pieces.
+fn strip_comments(input: &str) -> String {
+    input
+        .lines()
+        .map(|l| l.split("--").next().unwrap_or(""))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Applies one `budget <knob> <value>` directive to `spec`.
+fn budget_directive(rest: &str, spec: &mut BudgetSpec) -> Result<(), String> {
+    let mut parts = rest.split_whitespace();
+    let (Some(knob), Some(value), None) = (parts.next(), parts.next(), parts.next()) else {
+        return Err("budget directive needs `budget <knob> <value>`".into());
+    };
+    // BudgetSpec is the single parse/validate point for budget knobs —
+    // scripts share it with CLI flags and serve requests.
+    spec.parse_set(knob, value)
+}
+
+/// A script's `budget` directives, read without parsing its other
+/// statements: what `dopcert serve` charges a request before it runs.
+/// Equal to [`parse_script`]'s [`Script::budget`] whenever the script
+/// parses; a malformed directive is skipped, since such a script fails
+/// to parse when it runs.
+pub fn budget_directives(input: &str) -> BudgetSpec {
+    let mut spec = BudgetSpec::default();
+    for stmt in strip_comments(input).split(';') {
+        if let Some(rest) = stmt.trim().strip_prefix("budget ") {
+            let _ = budget_directive(rest, &mut spec);
+        }
+    }
+    spec
 }
 
 /// Parses `R(int, int)` or `R(a int, b int)` — column names optional,
@@ -558,6 +581,9 @@ refute DISTINCT SELECT Right.Left FROM R
         assert_eq!(s.budget.iters, Some(40));
         assert_eq!(s.budget.nodes, Some(20000));
         assert_eq!(s.budget.oracle_calls, Some(8));
+        // Admission reads the same directives without parsing the rest.
+        let text = "table R(int);\nbudget iters 40; -- budget iters 9;\nverify R == R;";
+        assert_eq!(budget_directives(text), parse_script(text).unwrap().budget);
         // Same validation as CLI flags and serve requests.
         assert!(parse_script("budget iters 0;").is_err());
         assert!(parse_script("budget bogus 5;").is_err());

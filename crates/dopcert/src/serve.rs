@@ -36,7 +36,10 @@
 //! A `shutdown` request is acknowledged, then the listener and all
 //! workers drain and exit; [`Server::wait`] joins them.
 
-use crate::api::{KindLatency, Request, RequestOptions, Response, ServerStats, Workspace};
+use crate::api::{
+    BudgetSpec, KindLatency, Request, RequestOptions, Response, ServerStats, Workspace,
+};
+use crate::script::budget_directives;
 use crate::wire::{decode_request, encode_response, Json};
 use egraph::session::{Admission, BatchBudget};
 use egraph::solve::Budget;
@@ -694,15 +697,15 @@ fn handle_line(line: &str, shared: &Shared, senders: &[Sender<Job>]) -> (&'stati
 /// first, when a policy is configured).
 fn admit(tenant: &str, req: &Request, shared: &Shared) -> Result<(), String> {
     let iters = match req {
-        Request::Prove { opts, .. }
-        | Request::Optimize { opts, .. }
-        | Request::Catalog { opts, .. }
-        | Request::Discover { opts } => {
-            // The declared budget; scripts cannot raise it past the
-            // admission check because a script directive only fills
-            // knobs the request left unset, and unset knobs resolve to
-            // the same default charged here.
-            opts.budget.apply(Budget::default()).max_iters
+        Request::Prove { script, opts } | Request::Optimize { script, opts } => {
+            // What the worker will run under: request knobs over the
+            // script's `budget` directives over the defaults.
+            opts.prove_options(budget_directives(script))
+                .budget
+                .max_iters
+        }
+        Request::Catalog { opts, .. } | Request::Discover { opts } => {
+            opts.prove_options(BudgetSpec::default()).budget.max_iters
         }
         // Mining runs its own internal discovery/certification budgets;
         // charge it like a default-budget request.
@@ -852,7 +855,6 @@ mod tests {
         let mut config = local_config();
         config.tenant_budget = BatchBudget {
             max_total_iters: 48,
-            max_nodes: 60_000,
             per_goal_iters: 24,
         };
         let server = Server::start(config).expect("bind");
@@ -885,7 +887,30 @@ mod tests {
         // Another tenant's allowance is untouched.
         let reply = request_once(&addr, &Json::Null, "carol", &small).expect("request");
         assert!(reply.ok, "{reply:?}");
-        assert_eq!(server.stats().budget_rejections, 2);
+
+        // A script's `budget` directive is charged like the request
+        // knob: raised past the cap, it is rejected …
+        let raised = Request::Prove {
+            script: "table R(int);\nbudget iters 1000;\nverify R == R;".into(),
+            opts: RequestOptions::default(),
+        };
+        let reply = request_once(&addr, &Json::Null, "dave", &raised).expect("request");
+        assert!(!reply.ok);
+        let error = reply.error.expect("error");
+        assert!(error.contains("1000 iterations exceeds"), "{error}");
+        // … and lowered, it is charged what it runs under: six 8-iter
+        // requests fit a 48-iter allowance, a seventh does not.
+        let lowered = Request::Prove {
+            script: "table R(int);\nbudget iters 8;\nverify R == R;".into(),
+            opts: RequestOptions::default(),
+        };
+        for _ in 0..6 {
+            let reply = request_once(&addr, &Json::Null, "erin", &lowered).expect("request");
+            assert!(reply.ok, "{reply:?}");
+        }
+        let reply = request_once(&addr, &Json::Null, "erin", &lowered).expect("request");
+        assert!(reply.error.expect("error").contains("exhausted"));
+        assert_eq!(server.stats().budget_rejections, 4);
         server.shutdown();
         server.wait();
     }
@@ -894,7 +919,6 @@ mod tests {
     fn refill_recovers_an_exhausted_tenant_over_time() {
         let budget = BatchBudget {
             max_total_iters: 48,
-            max_nodes: 60_000,
             per_goal_iters: 24,
         };
         let mut ledger = TenantLedger::new(Some(RefillPolicy { iters_per_sec: 24 }));
@@ -924,7 +948,6 @@ mod tests {
     fn refill_fractions_accumulate_and_no_policy_means_no_decay() {
         let budget = BatchBudget {
             max_total_iters: 10,
-            max_nodes: 60_000,
             per_goal_iters: 10,
         };
         // 4 iters/sec: one 250ms step is exactly one iteration; an 80ms

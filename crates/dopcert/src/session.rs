@@ -18,11 +18,13 @@
 //!
 //! The embedded [`egraph::Session`] memoizes the saturation step's
 //! goal-closing searches. Cross-rule discovery ([`discover_catalog`],
-//! `dopcert catalog --discover`) seeds a multi-seed session of its own.
+//! `dopcert catalog --discover`) seeds an [`egraph::Discovery`] graph
+//! of its own.
 
 use crate::prove::{denote_instance, ProveOptions, VerifyMethod};
 use crate::rule::{Rule, RuleInstance};
-use egraph::session::Session;
+use egraph::solve::Budget;
+use egraph::{Discovery, Session};
 use hottsql::ast::Query;
 use relalg::Schema;
 use std::collections::HashMap;
@@ -170,15 +172,21 @@ impl ProveSession {
 }
 
 /// Cross-rule discovery over the catalog: seed every rule's normalized
-/// sides into ONE multi-seed session, saturate under the batch budget,
-/// and report equalities the session proved between *different* rules'
-/// seeds — the first step from "prove given pairs" toward "search for
-/// equal pairs". The report is deterministic (sorted by tag) and purely
-/// additive: per-rule verdicts are untouched. The boolean marks pairs
-/// whose sides already normalize to one expression (equal before any
-/// saturation) as opposed to equalities the rewrites proved.
+/// sides into ONE [`Discovery`] graph, saturate it once, and report
+/// equalities it proved between *different* rules' seeds — the first
+/// step from "prove given pairs" toward "search for equal pairs". The
+/// graph may spend what 64 goals under `opts.budget` would. The report
+/// is deterministic (sorted by tag) and purely additive: per-rule
+/// verdicts are untouched. The boolean marks pairs whose sides already
+/// normalize to one expression (equal before any saturation) as opposed
+/// to equalities the rewrites proved.
 pub fn discover_catalog(rules: &[Rule], opts: ProveOptions) -> Vec<(String, String, bool)> {
-    let mut session = Session::new(opts.budget);
+    let budget = Budget {
+        max_iters: opts.budget.max_iters.saturating_mul(64),
+        max_nodes: opts.budget.max_nodes.saturating_mul(6),
+        ..opts.budget
+    };
+    let mut graph = Discovery::new(budget);
     let mut cache = NormCache::new();
     for rule in rules {
         let Ok((el, er, mut gen)) = denote_instance(&rule.generic()) else {
@@ -189,15 +197,11 @@ pub fn discover_catalog(rules: &[Rule], opts: ProveOptions) -> Vec<(String, Stri
             uninomial::normalize::normalize_with_cache(&el, &mut gen, &mut scratch, &mut cache);
         let nr =
             uninomial::normalize::normalize_with_cache(&er, &mut gen, &mut scratch, &mut cache);
-        session.add_root(format!("{}.lhs", rule.name), &nl.reify());
-        session.add_root(format!("{}.rhs", rule.name), &nr.reify());
-        // Incremental resume: saturation continues from the current
-        // graph after each rule's seeds, charging that rule's share of
-        // the batch budget ( `discovered` drains whatever remains).
-        session.resume();
+        graph.add_root(format!("{}.lhs", rule.name), &nl.reify());
+        graph.add_root(format!("{}.rhs", rule.name), &nr.reify());
     }
     let rule_of = |tag: &str| tag.rsplit_once('.').map(|(r, _)| r.to_owned());
-    session
+    graph
         .discovered()
         .into_iter()
         .filter(|(a, b, _)| rule_of(a) != rule_of(b))

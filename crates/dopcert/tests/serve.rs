@@ -96,7 +96,6 @@ fn malformed_and_over_budget_requests_fail_without_poisoning_the_connection() {
     let config = ServeConfig {
         tenant_budget: BatchBudget {
             max_total_iters: 72,
-            max_nodes: 60_000,
             per_goal_iters: 24,
         },
         ..ServeConfig::default()
@@ -260,6 +259,25 @@ fn hostile_nesting_and_retired_options_leave_the_daemon_answering() {
         "the long line counts as one request and one error: {:?}",
         reply.lines
     );
+
+    // A 2 KB script nesting 1 000 parentheses must cost one parse
+    // error, not the daemon: parsed unchecked, it overflowed a thread's
+    // stack and aborted the whole process.
+    let nested = Request::Prove {
+        script: format!(
+            "table R(int);\nverify {}R{} == R;",
+            "(".repeat(1_000),
+            ")".repeat(1_000)
+        ),
+        opts: RequestOptions::default(),
+    };
+    let reply = roundtrip(&encode_request(&Json::Null, "default", &nested));
+    let reply = decode_response(reply.trim()).expect("decode");
+    assert!(!reply.ok);
+    let error = reply.error.expect("error");
+    assert!(error.contains("nesting deeper than 256 levels"), "{error}");
+    let reply = decode_response(roundtrip(r#"{"cmd":"stats"}"#).trim()).expect("decode");
+    assert!(reply.ok, "same connection still answers: {reply:?}");
 
     // Old clients may still send the retired `shared-cache` and
     // `session` fields: the daemon answers byte for byte as if they

@@ -71,7 +71,6 @@ pub struct EGraph {
     rebuilding: bool,
     n_nodes: usize,
     n_unions: usize,
-    generation: u64,
     zero: Id,
     one: Id,
 }
@@ -106,7 +105,6 @@ impl EGraph {
             rebuilding: false,
             n_nodes: 0,
             n_unions: 0,
-            generation: 0,
             zero: Id(0),
             one: Id(0),
         };
@@ -156,15 +154,6 @@ impl EGraph {
     /// index whose growth bounds congruence-rebuild work.
     pub fn memo_size(&self) -> usize {
         self.hashcons.len()
-    }
-
-    /// Monotone modification counter: bumped whenever a new node is
-    /// interned or a union merges two classes. A persistent session uses
-    /// it to detect that nothing changed since its last full saturation
-    /// pass and skip the (whole-graph) match phase entirely — the
-    /// epoch-tracking half of incremental rebuild.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The active [`RebuildMode`].
@@ -231,7 +220,6 @@ impl EGraph {
                 class.nodes.push(node);
                 self.hashcons.insert(node, id);
                 self.n_nodes += 1;
-                self.generation += 1;
                 id
             }
         }
@@ -405,7 +393,6 @@ impl EGraph {
             return false;
         };
         self.n_unions += 1;
-        self.generation += 1;
         let lost = self.classes.remove(&loser).unwrap_or_default();
         let class = self.classes.entry(winner).or_default();
         class.nodes.extend(lost.nodes);

@@ -25,18 +25,18 @@
 //!    iteration/node budget runs out.
 //!
 //! The solver is `Send`: the parallel batch engine runs one e-graph per
-//! worker. For batch workloads the one-shot [`Solver`] generalizes to a
-//! persistent [`Session`] (one per worker, shared across the whole
-//! batch): goal answers are memoized with byte-identical traces. A
-//! session's shared multi-seed graph takes tagged roots incrementally,
-//! with saturation *resuming* rather than restarting, and cross-seed
-//! discovery reports equalities between different roots — the engine
-//! behind `dopcert catalog --discover` and rule mining; see [`session`].
+//! worker. For batch workloads a persistent [`Session`] (one per
+//! worker) memoizes goal answers with byte-identical traces, and a
+//! [`Discovery`] graph seeds many tagged roots into one solver to
+//! report equalities between different roots — the engine behind
+//! `dopcert catalog --discover` and rule mining; see [`session`] and
+//! [`discovery`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod arena;
+pub mod discovery;
 pub mod extract;
 pub mod graph;
 pub mod lang;
@@ -47,11 +47,12 @@ pub mod session;
 pub mod solve;
 pub mod unionfind;
 
+pub use discovery::Discovery;
 pub use extract::{CostFunction, TreeSize};
 pub use graph::{EGraph, RebuildMode};
 pub use lang::ENode;
 pub use mined::{MinedRule, MINED_LABEL_PREFIX};
 pub use prove::{prove_eq_saturate, prove_eq_saturate_session, SaturateFailure};
-pub use session::{Admission, BatchBudget, Session, SessionStats};
+pub use session::{Admission, BatchBudget, Session};
 pub use solve::{Budget, Outcome, Solver, Stats};
 pub use unionfind::Id;

@@ -90,10 +90,9 @@ pub fn prove_eq_saturate(
 
 /// [`prove_eq_saturate`] with memoized normalization through a reusable
 /// [`NormCache`] and a persistent [`Session`] — the path every prover
-/// and planner takes. The goal-closing search runs under the session's
-/// goal budget and is memoized across goals; its answer is
-/// byte-identical to [`prove_eq_saturate`] by construction (see the
-/// [`Session`] docs).
+/// takes. The goal-closing search runs under the session's budget and
+/// is memoized across goals; its answer is byte-identical to
+/// [`prove_eq_saturate`] by construction (see the [`Session`] docs).
 ///
 /// # Errors
 ///

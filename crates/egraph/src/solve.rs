@@ -194,14 +194,9 @@ impl Solver {
         self.run_with_budget(None, self.budget)
     }
 
-    /// Resumes the saturation loop under an *explicit* budget,
-    /// continuing from the graph's current state — seeds added since the
-    /// last run are picked up by the next match phase and saturation
-    /// proceeds incrementally instead of restarting. The iteration count
-    /// in the returned [`Stats`] covers this call only, which is what
-    /// lets a persistent [`Session`](crate::session::Session) do
-    /// batch-level budget accounting across many resumes.
-    pub fn run_with_budget(&mut self, goal: Option<(Id, Id)>, budget: Budget) -> (Outcome, Stats) {
+    /// The saturation loop behind [`Solver::run`] and
+    /// [`Solver::saturate`], continuing from the graph's current state.
+    fn run_with_budget(&mut self, goal: Option<(Id, Id)>, budget: Budget) -> (Outcome, Stats) {
         let _run = telemetry::span("egraph.run");
         let mut stats = Stats::default();
         loop {

@@ -30,6 +30,13 @@
 //!
 //! Identifiers in query position are tables; in predicate position,
 //! meta-variables; in projection position, attribute meta-variables.
+//!
+//! Nesting is capped at 256 levels: at most that many parentheses open
+//! at once, and at most that many levels in the tree the parser builds.
+//! `DISTINCT`, `NOT`, `EXISTS`, subqueries, aggregates, calls, casts,
+//! pairs and `=` each put their operands a level down, and each link of
+//! a left-associated `UNION ALL`, `EXCEPT`, `AND`, `OR`, `FROM`-list,
+//! `WHERE` or projection-path chain adds a level on top.
 
 use crate::ast::{Expr, Predicate, Proj, Query};
 use crate::error::{HottsqlError, Result};
@@ -50,7 +57,7 @@ use relalg::Value;
 /// assert!(matches!(q, hottsql::Query::Distinct(_)));
 /// ```
 pub fn parse_query(input: &str) -> Result<Query> {
-    let mut p = Parser::new(input);
+    let mut p = Parser::new(input)?;
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -62,11 +69,17 @@ pub fn parse_query(input: &str) -> Result<Query> {
 ///
 /// Returns [`HottsqlError::Parse`] on malformed input.
 pub fn parse_pred(input: &str) -> Result<Predicate> {
-    let mut p = Parser::new(input);
+    let mut p = Parser::new(input)?;
     let b = p.pred()?;
     p.expect_eof()?;
     Ok(b)
 }
+
+/// The deepest a query may nest, in open parentheses and in tree
+/// levels. Deeper input is a parse error instead of a stack overflow,
+/// here or in the recursive passes that walk the tree afterwards
+/// (typing, denotation, printing, dropping).
+const MAX_DEPTH: usize = 256;
 
 #[derive(Clone, Debug, PartialEq)]
 enum Tok {
@@ -85,14 +98,81 @@ enum Tok {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Tree level of the node being parsed; the root is level 0.
+    depth: usize,
+    /// Deepest tree level the subtree being parsed reaches, counting
+    /// the chain links built so far (see [`Parser::start_chain`]).
+    peak: usize,
+}
+
+/// The error for input nested past [`MAX_DEPTH`] at byte `offset`.
+fn too_deep<T>(offset: usize) -> Result<T> {
+    Err(HottsqlError::Parse {
+        message: format!("nesting deeper than {MAX_DEPTH} levels"),
+        offset,
+    })
 }
 
 impl Parser {
-    fn new(input: &str) -> Parser {
-        Parser {
-            toks: lex(input),
-            pos: 0,
+    /// Lexes `input`. Parentheses are counted here, before any
+    /// recursion, so a hostile run of `(` costs no stack.
+    fn new(input: &str) -> Result<Parser> {
+        let toks = lex(input);
+        let mut open = 0usize;
+        for (tok, offset) in &toks {
+            match tok {
+                Tok::LParen if open == MAX_DEPTH => return too_deep(*offset),
+                Tok::LParen => open += 1,
+                Tok::RParen => open = open.saturating_sub(1),
+                _ => {}
+            }
         }
+        Ok(Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+            peak: 0,
+        })
+    }
+
+    /// Records that the tree reaches `level`, failing past the cap.
+    fn reach(&mut self, level: usize) -> Result<()> {
+        if level > MAX_DEPTH {
+            return too_deep(self.offset());
+        }
+        self.peak = self.peak.max(level);
+        Ok(())
+    }
+
+    /// Parses a node's children, one tree level down. Checking on the
+    /// way down bounds the recursion before it happens.
+    fn child<T>(&mut self, f: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
+        self.reach(self.depth + 1)?;
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Starts a left-associated chain `a op b op c …` at the current
+    /// level: `peak` restarts here, so its height above this level is
+    /// the chain's. Each link puts a new node on top of everything
+    /// parsed so far, so the caller calls [`Parser::link`] after
+    /// building one, and [`Parser::end_chain`] with the returned value
+    /// at the end. (An error abandons the whole parse, so it needs no
+    /// `end_chain`.)
+    fn start_chain(&mut self) -> usize {
+        std::mem::replace(&mut self.peak, self.depth)
+    }
+
+    /// Accounts for one more link of the chain being parsed.
+    fn link(&mut self) -> Result<()> {
+        self.reach(self.peak + 1)
+    }
+
+    /// Ends the chain [`Parser::start_chain`] began.
+    fn end_chain(&mut self, outer: usize) {
+        self.peak = self.peak.max(outer);
     }
 
     fn peek(&self) -> &Tok {
@@ -158,13 +238,16 @@ impl Parser {
     }
 
     fn query(&mut self) -> Result<Query> {
+        let outer = self.start_chain();
         let mut q = self.commaq()?;
         while self.peek_kw("UNION") {
             self.bump();
             self.expect_kw("ALL")?;
             let rhs = self.commaq()?;
             q = Query::union_all(q, rhs);
+            self.link()?;
         }
+        self.end_chain(outer);
         Ok(q)
     }
 
@@ -174,6 +257,7 @@ impl Parser {
     /// FROM/WHERE handling bypasses this level, so a `WHERE` after a
     /// FROM-list still binds to the whole list there.
     fn commaq(&mut self) -> Result<Query> {
+        let outer = self.start_chain();
         let mut q = self.exceptq()?;
         loop {
             if *self.peek() == Tok::Comma {
@@ -183,37 +267,55 @@ impl Parser {
                 let b = self.pred()?;
                 q = Query::where_(q, b);
             } else {
+                self.end_chain(outer);
                 return Ok(q);
             }
+            self.link()?;
         }
     }
 
     fn exceptq(&mut self) -> Result<Query> {
+        let outer = self.start_chain();
         let mut q = self.atomq()?;
         while self.eat_kw("EXCEPT") {
             let rhs = self.atomq()?;
             q = Query::except(q, rhs);
+            self.link()?;
         }
+        self.end_chain(outer);
+        Ok(q)
+    }
+
+    /// `operand ("," operand)* ["WHERE" pred]`: a left-associated
+    /// product with an optional selection on top.
+    fn fromlist(&mut self, operand: fn(&mut Parser) -> Result<Query>) -> Result<Query> {
+        let outer = self.start_chain();
+        let mut q = operand(self)?;
+        while *self.peek() == Tok::Comma {
+            self.bump();
+            q = Query::product(q, operand(self)?);
+            self.link()?;
+        }
+        if self.eat_kw("WHERE") {
+            let b = self.pred()?;
+            q = Query::where_(q, b);
+            self.link()?;
+        }
+        self.end_chain(outer);
         Ok(q)
     }
 
     fn atomq(&mut self) -> Result<Query> {
         if self.eat_kw("DISTINCT") {
-            return Ok(Query::distinct(self.atomq()?));
+            return Ok(Query::distinct(self.child(Self::atomq)?));
         }
         if self.eat_kw("SELECT") {
-            let p = self.proj()?;
-            self.expect_kw("FROM")?;
-            let mut from = self.atomq()?;
-            while *self.peek() == Tok::Comma {
-                self.bump();
-                from = Query::product(from, self.atomq()?);
-            }
-            if self.eat_kw("WHERE") {
-                let b = self.pred()?;
-                from = Query::where_(from, b);
-            }
-            return Ok(Query::select(p, from));
+            return self.child(|p| {
+                let proj = p.proj()?;
+                p.expect_kw("FROM")?;
+                let from = p.fromlist(Self::atomq)?;
+                Ok(Query::select(proj, from))
+            });
         }
         match self.bump() {
             Tok::Ident(name) => Ok(Query::table(name)),
@@ -223,15 +325,7 @@ impl Parser {
                 // `FROM (FROM R1, R1), R2`; we accept `(R1, R1), R2`),
                 // or a parenthesized bare selection `(q WHERE b)` as
                 // emitted by `Query`'s `Display`.
-                let mut q = self.query()?;
-                while *self.peek() == Tok::Comma {
-                    self.bump();
-                    q = Query::product(q, self.query()?);
-                }
-                if self.eat_kw("WHERE") {
-                    let b = self.pred()?;
-                    q = Query::where_(q, b);
-                }
+                let q = self.fromlist(Self::query)?;
                 self.expect(Tok::RParen)?;
                 Ok(q)
             }
@@ -243,24 +337,30 @@ impl Parser {
     }
 
     fn pred(&mut self) -> Result<Predicate> {
+        let outer = self.start_chain();
         let mut b = self.andp()?;
         while self.eat_kw("OR") {
             b = Predicate::or(b, self.andp()?);
+            self.link()?;
         }
+        self.end_chain(outer);
         Ok(b)
     }
 
     fn andp(&mut self) -> Result<Predicate> {
+        let outer = self.start_chain();
         let mut b = self.notp()?;
         while self.eat_kw("AND") {
             b = Predicate::and(b, self.notp()?);
+            self.link()?;
         }
+        self.end_chain(outer);
         Ok(b)
     }
 
     fn notp(&mut self) -> Result<Predicate> {
         if self.eat_kw("NOT") {
-            return Ok(Predicate::not(self.notp()?));
+            return Ok(Predicate::not(self.child(Self::notp)?));
         }
         if self.eat_kw("TRUE") {
             return Ok(Predicate::True);
@@ -269,14 +369,16 @@ impl Parser {
             return Ok(Predicate::False);
         }
         if self.eat_kw("EXISTS") {
-            return Ok(Predicate::exists(self.atomq()?));
+            return Ok(Predicate::exists(self.child(Self::atomq)?));
         }
         if self.eat_kw("CASTPRED") {
-            let p = self.proj()?;
-            self.expect(Tok::LParen)?;
-            let b = self.pred()?;
-            self.expect(Tok::RParen)?;
-            return Ok(Predicate::cast(p, b));
+            return self.child(|p| {
+                let proj = p.proj()?;
+                p.expect(Tok::LParen)?;
+                let b = p.pred()?;
+                p.expect(Tok::RParen)?;
+                Ok(Predicate::cast(proj, b))
+            });
         }
         if *self.peek() == Tok::LParen {
             self.bump();
@@ -284,15 +386,20 @@ impl Parser {
             self.expect(Tok::RParen)?;
             return Ok(b);
         }
-        // Either `expr = expr`, an uninterpreted predicate call, or a
-        // bare predicate meta-variable.
+        // Either `expr = expr` (a one-link chain: the node comes after
+        // both sides), an uninterpreted predicate call, or a bare
+        // predicate meta-variable.
         let start = self.pos;
+        let outer = self.start_chain();
         let e = self.expr()?;
         if *self.peek() == Tok::Eq {
             self.bump();
             let rhs = self.expr()?;
+            self.link()?;
+            self.end_chain(outer);
             return Ok(Predicate::eq(e, rhs));
         }
+        self.end_chain(outer);
         match e {
             // A bare call that is not followed by `=` is an
             // uninterpreted predicate.
@@ -309,11 +416,13 @@ impl Parser {
 
     fn expr(&mut self) -> Result<Expr> {
         if self.eat_kw("CASTEXPR") {
-            let p = self.proj()?;
-            self.expect(Tok::LParen)?;
-            let e = self.expr()?;
-            self.expect(Tok::RParen)?;
-            return Ok(Expr::cast(p, e));
+            return self.child(|p| {
+                let proj = p.proj()?;
+                p.expect(Tok::LParen)?;
+                let e = p.expr()?;
+                p.expect(Tok::RParen)?;
+                Ok(Expr::cast(proj, e))
+            });
         }
         match self.peek().clone() {
             Tok::Int(n) => {
@@ -327,28 +436,28 @@ impl Parser {
             Tok::Ident(name) => {
                 // Aggregate or function call?
                 if self.toks[self.pos + 1].0 == Tok::LParen {
+                    self.bump();
+                    self.bump(); // (
                     if Aggregate::parse(&name).is_some() {
-                        self.bump();
-                        self.bump(); // (
-                        let q = self.query()?;
+                        let q = self.child(Self::query)?;
                         self.expect(Tok::RParen)?;
                         return Ok(Expr::agg(name.to_ascii_uppercase(), q));
                     }
-                    self.bump();
-                    self.bump(); // (
-                    let mut args = Vec::new();
-                    if *self.peek() != Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if *self.peek() == Tok::Comma {
-                                self.bump();
-                            } else {
-                                break;
+                    return self.child(|p| {
+                        let mut args = Vec::new();
+                        if *p.peek() != Tok::RParen {
+                            loop {
+                                args.push(p.expr()?);
+                                if *p.peek() == Tok::Comma {
+                                    p.bump();
+                                } else {
+                                    break;
+                                }
                             }
                         }
-                    }
-                    self.expect(Tok::RParen)?;
-                    return Ok(Expr::func(name, args));
+                        p.expect(Tok::RParen)?;
+                        Ok(Expr::func(name, args))
+                    });
                 }
                 // Otherwise a projection path used as an expression.
                 Ok(Expr::p2e(self.proj()?))
@@ -358,12 +467,15 @@ impl Parser {
     }
 
     fn proj(&mut self) -> Result<Proj> {
+        let outer = self.start_chain();
         let mut p = self.projatom()?;
         while *self.peek() == Tok::Dot {
             self.bump();
             let rhs = self.projatom()?;
             p = Proj::dot(p, rhs);
+            self.link()?;
         }
+        self.end_chain(outer);
         Ok(p)
     }
 
@@ -373,20 +485,20 @@ impl Parser {
             Tok::Ident(s) if s.eq_ignore_ascii_case("Left") => Ok(Proj::Left),
             Tok::Ident(s) if s.eq_ignore_ascii_case("Right") => Ok(Proj::Right),
             Tok::Ident(s) if s.eq_ignore_ascii_case("Empty") => Ok(Proj::Empty),
-            Tok::Ident(s) if s.eq_ignore_ascii_case("E2P") => {
-                self.expect(Tok::LParen)?;
-                let e = self.expr()?;
-                self.expect(Tok::RParen)?;
+            Tok::Ident(s) if s.eq_ignore_ascii_case("E2P") => self.child(|p| {
+                p.expect(Tok::LParen)?;
+                let e = p.expr()?;
+                p.expect(Tok::RParen)?;
                 Ok(Proj::e2p(e))
-            }
+            }),
             Tok::Ident(s) => Ok(Proj::var(s)),
-            Tok::LParen => {
-                let a = self.proj()?;
-                self.expect(Tok::Comma)?;
-                let b = self.proj()?;
-                self.expect(Tok::RParen)?;
+            Tok::LParen => self.child(|p| {
+                let a = p.proj()?;
+                p.expect(Tok::Comma)?;
+                let b = p.proj()?;
+                p.expect(Tok::RParen)?;
                 Ok(Proj::pair(a, b))
-            }
+            }),
             other => {
                 self.pos = self.pos.saturating_sub(1);
                 self.err(format!("expected a projection, found {other:?}"))
@@ -593,6 +705,79 @@ mod tests {
     fn parses_nested_parens() {
         let q = parse_query("((R))").unwrap();
         assert_eq!(q, Query::table("R"));
+        // Unoptimized builds spend up to ~18 KiB of stack per level at
+        // the cap (optimized ones under 5 KiB), more than a test
+        // thread's default 2 MiB holds.
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(nesting_is_capped_in_every_shape)
+            .expect("spawn")
+            .join()
+            .expect("every shape is capped");
+    }
+
+    /// Each shape nests `k` steps deep. The most steps that stay within
+    /// the cap parse; one more step is a parse error, and so is the
+    /// hostile size a client could send.
+    fn nesting_is_capped_in_every_shape() {
+        type Shape = (&'static str, usize, fn(usize) -> String);
+        let queries: [Shape; 9] = [
+            ("parens", 256, |k| {
+                format!("{}R{}", "(".repeat(k), ")".repeat(k))
+            }),
+            ("DISTINCT", 256, |k| format!("{}R", "DISTINCT ".repeat(k))),
+            ("subquery", 256, |k| {
+                format!("{}R{}", "SELECT * FROM (".repeat(k), ")".repeat(k))
+            }),
+            ("UNION ALL", 256, |k| {
+                format!("R{}", " UNION ALL R".repeat(k))
+            }),
+            ("EXCEPT", 256, |k| format!("R{}", " EXCEPT R".repeat(k))),
+            // SELECT itself takes the first level.
+            ("FROM", 255, |k| {
+                format!("SELECT * FROM R{}", ", R".repeat(k))
+            }),
+            ("path", 255, |k| {
+                format!("SELECT Left{} FROM R", ".Left".repeat(k))
+            }),
+            ("pair", 255, |k| {
+                format!("SELECT {}Left{} FROM R", "(".repeat(k), ", Left)".repeat(k))
+            }),
+            ("WHERE", 256, |k| format!("R{}", " WHERE b".repeat(k))),
+        ];
+        let preds: [Shape; 6] = [
+            ("NOT", 256, |k| format!("{}TRUE", "NOT ".repeat(k))),
+            ("AND", 256, |k| format!("TRUE{}", " AND TRUE".repeat(k))),
+            ("OR", 256, |k| format!("TRUE{}", " OR TRUE".repeat(k))),
+            // Three levels a step: EXISTS, SELECT and WHERE.
+            ("EXISTS", 85, |k| {
+                let step = "EXISTS (SELECT * FROM R WHERE ";
+                format!("{}TRUE{}", step.repeat(k), ")".repeat(k))
+            }),
+            // Four levels a step: `=`, SUM, SELECT and WHERE.
+            ("aggregate", 64, |k| {
+                let step = "SUM(SELECT * FROM R WHERE ";
+                format!("{}TRUE{}", step.repeat(k), ") = 1".repeat(k))
+            }),
+            // `=` takes the first level.
+            ("call", 255, |k| {
+                format!("{}1{} = 1", "f(".repeat(k), ")".repeat(k))
+            }),
+        ];
+        let check = |shapes: &[Shape], parse: fn(&str) -> Result<()>| {
+            let too_deep = format!("nesting deeper than {MAX_DEPTH} levels");
+            for (shape, cap, build) in shapes {
+                assert!(parse(&build(*cap)).is_ok(), "{shape} at the cap");
+                for k in [cap + 1, 4_000] {
+                    match parse(&build(k)) {
+                        Err(HottsqlError::Parse { message, .. }) if message == too_deep => {}
+                        other => panic!("{shape} at {k} steps: {other:?}"),
+                    }
+                }
+            }
+        };
+        check(&queries, |s| parse_query(s).map(drop));
+        check(&preds, |s| parse_pred(s).map(drop));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Ruler-style rule mining: grow the lemma catalog from discovered
 //! equalities.
 //!
-//! The prover's catalog is fixed and hand-proved; multi-seed sessions
-//! already *discover* cross-seed equalities (`catalog --discover`) but
-//! drop them. This crate closes the loop:
+//! The prover's catalog is fixed and hand-proved; multi-seed discovery
+//! graphs already *discover* cross-seed equalities (`catalog
+//! --discover`) but drop them. This crate closes the loop:
 //!
 //! ```text
-//!   corpus ──seed──▶ Session ──saturate──▶ discovered pairs
+//!   corpus ──seed──▶ Discovery ──saturate──▶ discovered pairs
 //!      │                                        │
 //!      │                              anti-unification (schemas)
 //!      │                                        │
@@ -38,7 +38,7 @@ pub mod screen;
 
 use antiunify::{anti_unify, canonical_key, ground_candidate, Candidate};
 use certify::{certify, to_mined_rule, Certificate};
-use egraph::{BatchBudget, Budget, MinedRule, Session};
+use egraph::{Budget, Discovery, MinedRule};
 use screen::{screen, ScreenConfig};
 use uninomial::syntax::UExpr;
 
@@ -98,7 +98,7 @@ pub struct MinedReportEntry {
 pub struct MineReport {
     /// Closed corpus expressions seeded.
     pub corpus_size: usize,
-    /// Equal pairs the saturated session discovered.
+    /// Equal pairs the saturated discovery graph found.
     pub discovered: usize,
     /// Wellformed candidate schemas after dedup.
     pub candidates: usize,
@@ -110,21 +110,6 @@ pub struct MineReport {
     pub accepted: Vec<MinedReportEntry>,
     /// The compiled rewrite-table entries for the accepted rules.
     pub rules: Vec<MinedRule>,
-}
-
-/// The session used to saturate the mining corpus. The batch budget is
-/// deliberately tight and *explicit*: the default `Session::new`
-/// scaling (64 goals' worth of iterations) is meant for long prove
-/// batches, and discovery only needs the shallow equalities a few
-/// iterations surface.
-fn mining_session() -> Session {
-    let goal = Budget::new(3, 3_000);
-    let batch = BatchBudget {
-        max_total_iters: 3,
-        max_nodes: 3_000,
-        per_goal_iters: 3,
-    };
-    Session::with_batch_budget(goal, batch)
 }
 
 /// Generates the candidate worklist from discovered pairs: every
@@ -164,16 +149,18 @@ pub fn mine(cfg: &MineConfig) -> MineReport {
     let _span = telemetry::span("mine.run");
     let mut report = MineReport::default();
 
-    // 1. Corpus + discovery: seed everything into one session, saturate
-    //    the shared graph, and read back the merged-root worklist.
+    // 1. Corpus + discovery: seed everything into one graph, saturate
+    //    it, and read back the merged-root worklist. The budget is
+    //    deliberately tight: discovery only needs the shallow equalities
+    //    a few iterations surface.
     let pool = corpus::corpus(cfg.seed, cfg.atoms);
     report.corpus_size = pool.len();
     telemetry::count("mine.corpus", pool.len() as u64);
-    let mut session = mining_session();
+    let mut graph = Discovery::new(Budget::new(3, 3_000));
     for (i, e) in pool.iter().enumerate() {
-        session.add_root(format!("c{i}"), e);
+        graph.add_root(format!("c{i}"), e);
     }
-    let pairs = session.discovered_exprs();
+    let pairs = graph.discovered_exprs();
     report.discovered = pairs.len();
     telemetry::count("mine.discovered", pairs.len() as u64);
 

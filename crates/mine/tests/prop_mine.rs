@@ -11,7 +11,7 @@
 //!   rule behind a replayable certificate.)
 
 use egraph::mined::{alpha_canonical, instantiate_schema};
-use egraph::{BatchBudget, Budget, Session};
+use egraph::{Budget, Discovery};
 use mine::antiunify::{anti_unify, ground_candidate, holes_of, Candidate, Generalization};
 use mine::certify::certify;
 use mine::screen::{screen, ScreenConfig};
@@ -128,18 +128,11 @@ fn assert_well_formed(c: &Candidate) {
 /// `mine::mine` builds it (tight explicit discovery budget).
 fn discovered_pairs(cfg: &MineConfig) -> Vec<(UExpr, UExpr)> {
     let pool = mine::corpus::corpus(cfg.seed, cfg.atoms);
-    let mut session = Session::with_batch_budget(
-        Budget::new(3, 3_000),
-        BatchBudget {
-            max_total_iters: 3,
-            max_nodes: 3_000,
-            per_goal_iters: 3,
-        },
-    );
+    let mut graph = Discovery::new(Budget::new(3, 3_000));
     for (i, e) in pool.iter().enumerate() {
-        session.add_root(format!("c{i}"), e);
+        graph.add_root(format!("c{i}"), e);
     }
-    session.discovered_exprs()
+    graph.discovered_exprs()
 }
 
 proptest! {

@@ -160,8 +160,9 @@ pub struct PlanCtx<'a> {
     /// Memoized normalization, kept across calls. Reports are identical
     /// with a warm or a fresh cache (the cache is trace-exact).
     pub cache: Option<&'a mut NormCache>,
-    /// Persistent per-worker session: plan memo, certificate memo, and
-    /// the saturation goal memo, kept across calls.
+    /// Persistent per-worker session: the plan memo, kept across calls.
+    /// Its budget bounds the certificates' saturation fallback; a
+    /// missing session certifies under the call's options.
     pub session: Option<&'a mut PlanSession>,
     /// Mined rewrite rules for the plan search (`--mined-rules`). The
     /// rules only widen the e-graph's search space; every candidate they
@@ -192,11 +193,10 @@ impl<'a> PlanCtx<'a> {
 /// Optimizes a closed query under the given statistics — the single
 /// entry point for fresh and resident optimization.
 ///
-/// Repeated queries are answered from the session's plan memo and
-/// candidate certifications from its certificate memo, both
+/// Repeated queries are answered from the session's plan memo,
 /// byte-identical by determinism of the pipeline. Memoized reports are
 /// only valid under the exact configuration they were computed with;
-/// rebinding a session under a different one clears its memos rather
+/// rebinding a session under a different one clears its memo rather
 /// than replaying stale costs.
 ///
 /// # Errors
@@ -226,7 +226,7 @@ pub fn optimize(
         }
     };
     let mined = ctx.mined.filter(|m| !m.is_empty());
-    // Mined rules change the reachable plan space, so memos computed
+    // Mined rules change the reachable plan space, so reports computed
     // with a different catalog (or none) must not replay; the
     // fingerprint therefore names the catalog. With mining off, the
     // fingerprint is byte-identical to a build without mining.
@@ -243,7 +243,7 @@ pub fn optimize(
         return Ok(report);
     }
     telemetry::count("memo.plan.miss", 1);
-    let report = optimize_query_impl(q, env, stats, opts, cache, session, mined)?;
+    let report = optimize_query_impl(q, env, stats, opts, cache, session.budget, mined)?;
     session.record_plan(q, &report);
     Ok(report)
 }
@@ -254,7 +254,7 @@ fn optimize_query_impl(
     stats: &Statistics,
     opts: OptimizeOptions,
     cache: &mut NormCache,
-    session: &mut PlanSession,
+    cert_budget: Budget,
     mined: Option<&Arc<Vec<MinedRule>>>,
 ) -> Result<OptimizeReport, OptimizeError> {
     let model = StatsCost::new(stats);
@@ -322,7 +322,7 @@ fn optimize_query_impl(
     // Ship the cheapest candidate that certifies; the input always
     // does (reflexive proof), so the loop cannot fall through.
     for (k, (cost, cand, route)) in measured.into_iter().enumerate() {
-        let Some(certificate) = certify(q, &cand, env, cache, session) else {
+        let Some(certificate) = certify(q, &cand, env, cache, cert_budget) else {
             continue;
         };
         let route = if cand == *q { Route::Unchanged } else { route };
@@ -369,30 +369,22 @@ fn measure(q: &Query, env: &QueryEnv, model: &StatsCost) -> Option<Cost> {
 }
 
 /// Proves `input ≡ output` with the ordinary prover stack — tactics,
-/// then saturation through the session — and packages the trace as a
-/// [`Certificate`]. Deterministic: the same pair always yields the same
-/// trace, which is what makes certificates replayable — and what makes
-/// the session's certificate memo byte-exact.
+/// then saturation on a fresh solver under `budget` — and packages the
+/// trace as a [`Certificate`]. Deterministic: the same pair always
+/// yields the same trace, which is what makes certificates replayable.
 fn certify(
     input: &Query,
     output: &Query,
     env: &QueryEnv,
     cache: &mut NormCache,
-    session: &mut PlanSession,
+    budget: Budget,
 ) -> Option<Certificate> {
     let _span = telemetry::span("optimizer.certify");
-    if let Some(hit) = session.lookup_cert(input, output) {
-        telemetry::count("memo.cert.hit", 1);
-        return hit;
-    }
-    telemetry::count("memo.cert.miss", 1);
-    let cert = derive(input, output, env, |el, er, gen| {
-        prove_eq_cached(el, er, &[], gen, cache).ok().or_else(|| {
-            egraph::prove_eq_saturate_session(el, er, &[], gen, cache, &mut session.sat).ok()
-        })
-    });
-    session.record_cert(input, output, cert.clone());
-    cert
+    derive(input, output, env, |el, er, gen| {
+        prove_eq_cached(el, er, &[], gen, cache)
+            .ok()
+            .or_else(|| egraph::prove_eq_saturate(el, er, &[], gen, budget).ok())
+    })
 }
 
 /// Denotes `input` and `output` over one output tuple variable and

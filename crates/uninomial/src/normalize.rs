@@ -858,19 +858,9 @@ impl NormCache {
         NormCache::default()
     }
 
-    /// The underlying interner.
-    pub fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
     /// Number of memo-table hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Number of memo-table misses (entries computed) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
