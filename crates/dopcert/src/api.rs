@@ -5,8 +5,8 @@
 //! CLI subcommands, the `.dop` script runner, the batch engine, and the
 //! `dopcert serve` daemon — routes through it:
 //!
-//! - [`Prover`] / [`Planner`] own the per-worker state (normalization
-//!   cache plus persistent session) and expose *one* method each: a
+//! - [`Prover`] / [`Planner`] own the per-worker state (one persistent
+//!   session each) and expose *one* method each: a
 //!   new value is fresh state, a kept one is resident state, and both
 //!   run the same pipeline.
 //! - [`Request`] / [`Response`] are the typed request values every
@@ -36,7 +36,6 @@ use optimizer::{OptimizeError, OptimizeOptions, OptimizeReport, PlanCtx, PlanSes
 use relalg::stats::Statistics;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
-use uninomial::normalize::NormCache;
 
 /// Partial saturation budget: the three knobs, each optionally
 /// overridden. This is THE parse/validate point for budgets — CLI
@@ -599,11 +598,10 @@ fn render_discoveries(found: &[Discovery]) -> Vec<String> {
     lines
 }
 
-/// Per-worker proving state: one normalization cache plus one
-/// persistent [`ProveSession`], both kept across calls.
+/// Per-worker proving state: one persistent [`ProveSession`], kept
+/// across calls.
 #[derive(Debug)]
 pub struct Prover {
-    pub(crate) cache: NormCache,
     pub(crate) session: ProveSession,
     pub(crate) opts: ProveOptions,
 }
@@ -612,7 +610,6 @@ impl Prover {
     /// A prover on fresh state.
     pub fn new(opts: ProveOptions) -> Prover {
         Prover {
-            cache: NormCache::new(),
             session: ProveSession::new(opts),
             opts,
         }
@@ -630,7 +627,7 @@ impl Prover {
     /// guarantee); only wall-clock differs.
     pub fn prove_rule(&mut self, rule: &Rule) -> RuleReport {
         let _span = telemetry::span("prove.rule");
-        crate::prove::prove_rule_on(rule, &mut self.cache, &mut self.session, self.opts)
+        crate::prove::prove_rule_on(rule, &mut self.session, self.opts)
     }
 
     /// Verifies one denoted instance (the engine's pair path).
@@ -644,7 +641,7 @@ impl Prover {
         inst: &RuleInstance,
     ) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
         let _span = telemetry::span("prove.goal");
-        crate::prove::verify_instance(inst, &mut self.cache, &mut self.session, self.opts)
+        crate::prove::verify_instance(inst, &mut self.session, self.opts)
     }
 
     /// Runs a parsed script's goals on this prover's state.
@@ -663,11 +660,10 @@ pub fn prove_rule(rule: &Rule) -> RuleReport {
     Prover::new(ProveOptions::default()).prove_rule(rule)
 }
 
-/// Per-worker planning state: one normalization cache plus one
-/// persistent [`PlanSession`], both kept across calls.
+/// Per-worker planning state: one persistent [`PlanSession`], kept
+/// across calls.
 #[derive(Debug)]
 pub struct Planner {
-    cache: NormCache,
     session: PlanSession,
     budget: Budget,
     mined: Option<Arc<Vec<egraph::MinedRule>>>,
@@ -677,7 +673,6 @@ impl Planner {
     /// A planner on fresh state.
     pub fn new(opts: ProveOptions) -> Planner {
         Planner {
-            cache: NormCache::new(),
             session: PlanSession::new(opts.budget),
             budget: opts.budget,
             mined: None,
@@ -712,7 +707,7 @@ impl Planner {
             OptimizeOptions {
                 budget: self.budget,
             },
-            PlanCtx::session(&mut self.cache, &mut self.session).with_mined(self.mined.as_ref()),
+            PlanCtx::session(&mut self.session).with_mined(self.mined.as_ref()),
         )
     }
 

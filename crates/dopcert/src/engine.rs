@@ -10,11 +10,10 @@
 //!
 //! Each worker builds ONE state value and keeps it for every item it
 //! claims: an [`api::Prover`](crate::api::Prover) for proving, an
-//! [`api::Planner`](crate::api::Planner) for optimizing. That state owns
-//! a private [`NormCache`], so structurally shared subterms normalize
-//! once per worker instead of once per occurrence, and a persistent
-//! session: a prover memoizes verdicts and saturation goals, a planner
-//! finished plans, across the worker's items. Answers are
+//! [`api::Planner`](crate::api::Planner) for optimizing. That state is a
+//! persistent session: a prover memoizes verdicts and saturation goals,
+//! a planner finished plans, across the worker's items. Normalization
+//! keeps no state, so nothing else is carried. Answers are
 //! byte-identical to proving each item on fresh state, by
 //! construction.
 //!
@@ -25,7 +24,6 @@
 //! loop — same verdicts, methods, and step counts (wall-clock fields
 //! excepted) — which `tests/engine.rs` asserts for the full catalog.
 //!
-//! [`NormCache`]: uninomial::NormCache
 //! [`VarGen`]: uninomial::VarGen
 
 use crate::api::{Planner, Prover};
@@ -127,9 +125,8 @@ impl Engine {
     /// in catalog order. Verdicts, methods, and step counts are
     /// identical to running [`crate::api::prove_rule`] sequentially.
     /// Each worker is one [`crate::api::Prover`] for its whole shard —
-    /// its normalization cache plus the persistent session with
-    /// memoized verdicts — with answers byte-identical to proving each
-    /// rule on fresh state.
+    /// its persistent session with memoized verdicts — with answers
+    /// byte-identical to proving each rule on fresh state.
     pub fn prove_catalog(&self, rules: &[Rule]) -> Vec<RuleReport> {
         let opts = self.config.prove;
         self.par_map(
@@ -260,9 +257,8 @@ impl Engine {
                 let (cursor, slots, f, mk_state) = (&cursor, &slots, &f, &mk_state);
                 scope.spawn(move || {
                     // Per-worker state: a private VarGen lives inside
-                    // each prove call; the cache and session inside the
-                    // state persist across the items this worker
-                    // claims.
+                    // each prove call; the session inside the state
+                    // persists across the items this worker claims.
                     let mut state = mk_state();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);

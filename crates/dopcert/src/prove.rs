@@ -4,6 +4,9 @@
 //! (Sec. 5.2) decides equivalence outright — "1 line of Coq" in Fig. 8,
 //! zero manual steps here. Every other rule is denoted via Fig. 7 and
 //! handed to the UniNomial provers with any declared axioms.
+//!
+//! The only state the pipeline threads through is a [`ProveSession`]:
+//! normalization keeps none.
 
 use crate::rule::{Category, Rule, RuleInstance};
 use crate::session::ProveSession;
@@ -13,7 +16,7 @@ use hottsql::denote::{denote_closed_query, denote_query};
 use relalg::Schema;
 use std::time::Instant;
 use uninomial::normalize::NormCache;
-use uninomial::prove::{prove_eq_cached, Method};
+use uninomial::prove::{prove_eq_with_axioms, Method};
 use uninomial::syntax::{Term, UExpr, VarGen};
 
 /// How a rule was verified.
@@ -90,7 +93,6 @@ pub struct RuleReport {
 /// goals are answered from the session memo.
 pub(crate) fn prove_rule_on(
     rule: &Rule,
-    cache: &mut NormCache,
     session: &mut ProveSession,
     opts: ProveOptions,
 ) -> RuleReport {
@@ -114,7 +116,7 @@ pub(crate) fn prove_rule_on(
             },
         };
     }
-    match verify_instance(&inst, cache, session, opts) {
+    match verify_instance(&inst, session, opts) {
         Ok((method, steps, attempted)) => RuleReport {
             name: rule.name,
             category: rule.category,
@@ -158,7 +160,7 @@ pub fn prove_instance(inst: &RuleInstance) -> Result<(Method, usize), String> {
         ..ProveOptions::default()
     };
     let mut session = ProveSession::new(opts);
-    match verify_instance(inst, &mut NormCache::new(), &mut session, opts) {
+    match verify_instance(inst, &mut session, opts) {
         Ok((VerifyMethod::Tactic(m), steps, _)) => Ok((m, steps)),
         Ok((other, _, _)) => Err(format!("unexpected method {other}")),
         Err((msg, _)) => Err(msg),
@@ -192,19 +194,18 @@ pub fn denote_instance(inst: &RuleInstance) -> Result<(UExpr, UExpr, VarGen), St
 }
 
 /// Denotes an instance and runs the configured verification pipeline
-/// on a normalization cache and a [`ProveSession`] built for `opts`. On
-/// success returns the method, step count, and every method attempted;
-/// on failure the diagnostic and the attempted list.
+/// on a [`ProveSession`] built for `opts`. On success returns the
+/// method, step count, and every method attempted; on failure the
+/// diagnostic and the attempted list.
 ///
 /// Axiom-free goals are answered from the session's verdict memo when
 /// already seen (byte-identical by determinism of the pipeline); misses
 /// run the ordinary pipeline — with the saturation step routed through
-/// the session's goal memo — and are recorded. A fresh cache and
-/// session give the same answer as warm ones.
+/// the session's goal memo — and are recorded. A fresh session gives
+/// the same answer as a warm one.
 #[allow(clippy::type_complexity)] // (method, steps, attempts) / (diag, attempts)
 pub fn verify_instance(
     inst: &RuleInstance,
-    cache: &mut NormCache,
     session: &mut ProveSession,
     opts: ProveOptions,
 ) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
@@ -246,7 +247,7 @@ pub fn verify_instance(
             return verdict;
         }
     }
-    let verdict = verify_denoted(&el, &er, inst, &mut gen, cache, session, opts);
+    let verdict = verify_denoted(&el, &er, inst, &mut gen, session, opts);
     if memoizable {
         session.record(&el, &er, opts, verdict.clone());
         session.record_query(inst, opts, verdict.clone());
@@ -261,7 +262,6 @@ fn verify_denoted(
     er: &UExpr,
     inst: &RuleInstance,
     gen: &mut VarGen,
-    cache: &mut NormCache,
     session: &mut ProveSession,
     opts: ProveOptions,
 ) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
@@ -269,7 +269,7 @@ fn verify_denoted(
     let mut tactic_diag: Option<String> = None;
     if opts.saturate != SaturateMode::Only {
         attempted.extend(["syntactic", "equational", "deductive"].map(String::from));
-        match prove_eq_cached(el, er, &inst.axioms, gen, cache) {
+        match prove_eq_with_axioms(el, er, &inst.axioms, gen) {
             Ok(proof) => {
                 return Ok((
                     VerifyMethod::Tactic(proof.method()),
@@ -285,7 +285,14 @@ fn verify_denoted(
             "saturation (≤{} iters, ≤{} nodes)",
             opts.budget.max_iters, opts.budget.max_nodes
         ));
-        match prove_eq_saturate_session(el, er, &inst.axioms, gen, cache, &mut session.sat) {
+        match prove_eq_saturate_session(
+            el,
+            er,
+            &inst.axioms,
+            gen,
+            &mut NormCache::new(),
+            &mut session.sat,
+        ) {
             Ok(proof) => return Ok((VerifyMethod::Saturation, proof.steps(), attempted)),
             Err(sat) => {
                 let mut msg = sat.to_string();

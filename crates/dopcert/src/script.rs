@@ -28,7 +28,11 @@
 //! Each `verify` goal is checked with the full pipeline: conjunctive-
 //! query decision procedure first, then denotation + tactics; on failure
 //! a counterexample search runs. `refute` goals assert the pair is
-//! *inequivalent* and must produce a counterexample.
+//! *inequivalent* and must produce a counterexample. A goal's queries
+//! must lex completely: an unknown character, an unterminated string,
+//! a `-` without digits or an integer outside `i64` is a parse error,
+//! never a shorter query. Goals run on one [`Prover`], whose only state
+//! is its persistent session.
 
 use crate::api::{BudgetSpec, Prover};
 use crate::prove::{verify_instance, ProveOptions, VerifyMethod};
@@ -332,7 +336,7 @@ fn parse_distinct_decl(rest: &str, script: &Script) -> Result<(String, usize, f6
 
 /// Checks one goal with the full pipeline: its CQ decision (already
 /// computed in the script's batch), else the general prover on the
-/// prover's persistent cache and session, then a counterexample hunt.
+/// prover's persistent session, then a counterexample hunt.
 fn goal_outcome(
     env: &QueryEnv,
     goal: &Goal,
@@ -361,7 +365,7 @@ fn goal_outcome(
     }
     // 2. General prover (tactics and/or saturation per its options).
     let inst = RuleInstance::plain(env.clone(), goal.lhs.clone(), goal.rhs.clone());
-    match verify_instance(&inst, &mut prover.cache, &mut prover.session, prover.opts) {
+    match verify_instance(&inst, &mut prover.session, prover.opts) {
         Ok((method, steps, _)) => GoalOutcome::Proved { method, steps },
         Err((diag, _)) => match hunt_counterexample(env, goal) {
             Some(cex) => GoalOutcome::Refuted {
@@ -424,15 +428,14 @@ pub fn run_script(script: &Script) -> Vec<GoalOutcome> {
 /// `opts` — the CLI's `prove --saturate` mode routes every such goal
 /// through equality saturation alone.
 pub fn run_script_with(script: &Script, opts: ProveOptions) -> Vec<GoalOutcome> {
-    // One normalization cache and one persistent proving session serve
-    // every goal of the script — outcomes are identical to checking
-    // each goal alone.
+    // One persistent proving session serves every goal of the script —
+    // outcomes are identical to checking each goal alone.
     run_script_in(script, &mut Prover::new(opts))
 }
 
 /// Runs a script's goals on an existing [`Prover`] — the resident path
-/// the serve daemon's workers use, with the prover's cache and session
-/// persisting across scripts. Outcomes are identical to
+/// the serve daemon's workers use, with the prover's session persisting
+/// across scripts. Outcomes are identical to
 /// [`run_script_with`] on fresh state (the session-identity
 /// guarantee).
 pub fn run_script_in(script: &Script, prover: &mut Prover) -> Vec<GoalOutcome> {
@@ -533,6 +536,28 @@ refute DISTINCT SELECT Right.Left FROM R
         assert!(parse_script("table R();").is_err());
         assert!(parse_script("table R(int); verify R;").is_err());
         assert!(parse_script("table R(float);").is_err());
+    }
+
+    #[test]
+    fn an_integer_past_i64_is_a_parse_error_not_a_proof() {
+        // Read as 0 (2^64 wrapped), the goal below would be proved equal
+        // to its `= 0` twin.
+        let src = "table R(int);\n\
+                   verify SELECT Right FROM R WHERE Right = 18446744073709551616\n\
+                   == SELECT Right FROM R WHERE Right = 0;";
+        match parse_script(src) {
+            Err(HottsqlError::Parse { message, .. }) => {
+                assert!(message.contains("out of range"), "{message}")
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        let resp = crate::api::execute(&crate::api::Request::Prove {
+            script: src.into(),
+            opts: crate::api::RequestOptions::default(),
+        });
+        let lines = resp.render();
+        assert!(!resp.ok(), "{lines:?}");
+        assert!(lines[0].starts_with("error: parse error"), "{lines:?}");
     }
 
     #[test]

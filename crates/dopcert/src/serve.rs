@@ -19,7 +19,10 @@
 //! client cannot starve the rest. With a [`RefillPolicy`] configured
 //! (`--budget-refill`), spent iterations decay over wall-clock time,
 //! so a steady client regains allowance instead of being locked out
-//! for the daemon's lifetime.
+//! for the daemon's lifetime. Clients choose their tenant names, so the
+//! ledger is bounded: a name is at most 64 bytes (longer ones are a bad
+//! request), the ledger holds at most 1 024 names, and a new name that
+//! arrives when it is full is charged to one shared overflow account.
 //!
 //! Observability is part of the protocol: every request's end-to-end
 //! latency lands in a per-request-kind histogram, each worker's memo
@@ -65,6 +68,11 @@ const POLL_INTERVAL: Duration = Duration::from_millis(200);
 /// only bounds what a hostile or broken client can make the daemon
 /// hold.
 const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most tenant names the admission ledger keeps an account for.
+/// Later names share one overflow account, so a client inventing names
+/// can neither grow the ledger nor mint itself fresh allowances.
+const MAX_TENANTS: usize = 1024;
 
 /// Budget refill: a tenant's spent iterations decay at this rate, so
 /// exhaustion is a rate limit rather than a lifetime ban.
@@ -117,7 +125,7 @@ struct Counters {
 }
 
 /// One tenant's admission account.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TenantEntry {
     /// Iterations charged so far (net of refill).
     spent: usize,
@@ -133,7 +141,10 @@ struct TenantEntry {
 #[derive(Debug)]
 struct TenantLedger {
     policy: Option<RefillPolicy>,
+    /// At most [`MAX_TENANTS`] named accounts.
     entries: HashMap<String, TenantEntry>,
+    /// The account every name past the first [`MAX_TENANTS`] shares.
+    overflow: TenantEntry,
 }
 
 impl TenantLedger {
@@ -141,11 +152,20 @@ impl TenantLedger {
         TenantLedger {
             policy,
             entries: HashMap::new(),
+            overflow: TenantEntry::default(),
         }
     }
 
+    /// Whether `tenant` has an account of its own, rather than being
+    /// charged to the overflow account.
+    fn holds(&self, tenant: &str) -> bool {
+        self.entries.contains_key(tenant)
+    }
+
     /// Refills the tenant's account (if a policy is configured), then
-    /// charges `iters` against it under `budget`'s admission rule.
+    /// charges `iters` against it under `budget`'s admission rule. A new
+    /// tenant gets an account while the ledger has room, and is charged
+    /// to the overflow account once it is full.
     fn charge(
         &mut self,
         tenant: &str,
@@ -153,13 +173,14 @@ impl TenantLedger {
         now_ns: u64,
         budget: BatchBudget,
     ) -> Admission {
-        let e = self
-            .entries
-            .entry(tenant.to_owned())
-            .or_insert(TenantEntry {
+        if !self.holds(tenant) && self.entries.len() < MAX_TENANTS {
+            let fresh = TenantEntry {
                 spent: 0,
                 credited_ns: now_ns,
-            });
+            };
+            self.entries.insert(tenant.to_owned(), fresh);
+        }
+        let e = self.entries.get_mut(tenant).unwrap_or(&mut self.overflow);
         if let Some(policy) = self.policy {
             let elapsed = now_ns.saturating_sub(e.credited_ns);
             let refill = (elapsed as u128 * policy.iters_per_sec as u128 / 1_000_000_000) as usize;
@@ -725,8 +746,14 @@ fn admit(tenant: &str, req: &Request, shared: &Shared) -> Result<(), String> {
             "budget rejected: {iters} iterations exceeds the per-request cap of {}",
             budget.per_goal_iters
         )),
-        Admission::Exhausted => Err(format!(
+        Admission::Exhausted if ledger.holds(tenant) => Err(format!(
             "budget rejected: tenant {tenant:?} has exhausted its allowance of {} iterations",
+            budget.max_total_iters
+        )),
+        Admission::Exhausted => Err(format!(
+            "budget rejected: tenant {tenant:?} is charged to the shared overflow account \
+             (the ledger holds {MAX_TENANTS} tenants), which has exhausted its allowance \
+             of {} iterations",
             budget.max_total_iters
         )),
     }
@@ -942,6 +969,58 @@ mod tests {
             ledger.charge("bob", 100, 2_000_000_000, budget),
             Admission::PerGoalCap
         );
+    }
+
+    #[test]
+    fn tenants_past_the_ledger_cap_share_the_overflow_account() {
+        let budget = BatchBudget {
+            max_total_iters: 48,
+            per_goal_iters: 24,
+        };
+        let mut ledger = TenantLedger::new(None);
+        for i in 0..MAX_TENANTS {
+            let tenant = format!("t{i}");
+            assert_eq!(ledger.charge(&tenant, 24, 0, budget), Admission::Admit);
+            assert!(ledger.holds(&tenant));
+        }
+        // The 1 025th name gets no account of its own: it and every
+        // later name draw on one shared allowance.
+        assert_eq!(ledger.charge("late", 24, 0, budget), Admission::Admit);
+        assert!(!ledger.holds("late"));
+        assert_eq!(ledger.charge("later", 24, 0, budget), Admission::Admit);
+        assert_eq!(ledger.charge("late", 24, 0, budget), Admission::Exhausted);
+        assert_eq!(ledger.charge("latest", 1, 0, budget), Admission::Exhausted);
+        assert_eq!(ledger.entries.len(), MAX_TENANTS);
+        // Named accounts keep their own allowance.
+        assert_eq!(ledger.charge("t0", 24, 0, budget), Admission::Admit);
+    }
+
+    #[test]
+    fn a_rejection_names_the_overflow_account() {
+        let mut config = local_config();
+        config.tenant_budget = BatchBudget {
+            max_total_iters: 24,
+            per_goal_iters: 24,
+        };
+        let server = Server::start(config).expect("bind");
+        let addr = server.local_addr().to_string();
+        {
+            let mut ledger = server.shared.tenants.lock().expect("tenants lock");
+            for i in 0..MAX_TENANTS {
+                ledger.charge(&format!("t{i}"), 0, 0, BatchBudget::default());
+            }
+        }
+        let small = Request::Prove {
+            script: "table R(int);\nverify R == R;".into(),
+            opts: RequestOptions::default(),
+        };
+        let reply = request_once(&addr, &Json::Null, "new", &small).expect("request");
+        assert!(reply.ok, "{reply:?}");
+        let reply = request_once(&addr, &Json::Null, "newer", &small).expect("request");
+        let error = reply.error.expect("error");
+        assert!(error.contains("shared overflow account"), "{error}");
+        server.shutdown();
+        server.wait();
     }
 
     #[test]

@@ -30,7 +30,7 @@ use relalg::Schema;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use uninomial::normalize::{NormCache, Trace};
+use uninomial::normalize::{normalize, Trace};
 use uninomial::syntax::intern::{Interner, UExprId};
 use uninomial::UExpr;
 
@@ -187,16 +187,13 @@ pub fn discover_catalog(rules: &[Rule], opts: ProveOptions) -> Vec<(String, Stri
         ..opts.budget
     };
     let mut graph = Discovery::new(budget);
-    let mut cache = NormCache::new();
     for rule in rules {
         let Ok((el, er, mut gen)) = denote_instance(&rule.generic()) else {
             continue;
         };
         let mut scratch = Trace::new();
-        let nl =
-            uninomial::normalize::normalize_with_cache(&el, &mut gen, &mut scratch, &mut cache);
-        let nr =
-            uninomial::normalize::normalize_with_cache(&er, &mut gen, &mut scratch, &mut cache);
+        let nl = normalize(&el, &mut gen, &mut scratch);
+        let nr = normalize(&er, &mut gen, &mut scratch);
         graph.add_root(format!("{}.lhs", rule.name), &nl.reify());
         graph.add_root(format!("{}.rhs", rule.name), &nr.reify());
     }

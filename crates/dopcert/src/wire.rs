@@ -21,7 +21,8 @@
 //! `discover`, `mine`, `stats`, `metrics`, `profile`, `trace`, or
 //! `shutdown`. `script` is required for `check`/`prove`/`optimize`.
 //! Everything else is optional; `id` is echoed back verbatim, `tenant`
-//! names the budget-admission account (default `"default"`). `mine`
+//! names the budget-admission account (default `"default"`, at most 64
+//! bytes). `mine`
 //! takes optional `seed` and `count` integers; `optimize` accepts
 //! `"mined-rules": true` to search with the daemon's mined catalog.
 //! Budget knobs are validated by the same [`BudgetSpec`] the CLI flags
@@ -169,6 +170,11 @@ fn render_string(s: &str, out: &mut String) {
 /// parser's stack use bounded, so a hostile line such as 200 KB of `[`
 /// gets an error instead of overflowing a daemon thread's stack.
 const MAX_DEPTH: usize = 128;
+
+/// The longest tenant name [`decode_request`] accepts. Clients choose
+/// their tenant names and the daemon keeps an admission account per
+/// name, so the cap bounds what one name can make it hold.
+const MAX_TENANT_BYTES: usize = 64;
 
 /// Parses one JSON value, rejecting trailing garbage.
 ///
@@ -372,10 +378,15 @@ pub fn decode_request(line: &str) -> Result<(Json, String, Request), String> {
     let id = value.get("id").cloned().unwrap_or(Json::Null);
     let tenant = match value.get("tenant") {
         None => "default".to_owned(),
-        Some(t) => t
-            .as_str()
-            .ok_or_else(|| "tenant must be a string".to_owned())?
-            .to_owned(),
+        Some(t) => {
+            let t = t
+                .as_str()
+                .ok_or_else(|| "tenant must be a string".to_owned())?;
+            if t.len() > MAX_TENANT_BYTES {
+                return Err(format!("tenant name longer than {MAX_TENANT_BYTES} bytes"));
+            }
+            t.to_owned()
+        }
     };
     let cmd = value
         .get("cmd")
@@ -854,6 +865,16 @@ mod tests {
         assert!(decode_request(&hostile).is_err());
         let objects = format!(r#"{{"cmd":"stats","x":{}}}"#, "{\"a\":".repeat(MAX_DEPTH));
         assert!(decode_request(&objects).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn tenant_names_longer_than_the_cap_are_rejected() {
+        let request = |tenant: &str| format!(r#"{{"cmd":"stats","tenant":"{tenant}"}}"#);
+        let at_cap = "t".repeat(MAX_TENANT_BYTES);
+        let (_, tenant, _) = decode_request(&request(&at_cap)).unwrap();
+        assert_eq!(tenant, at_cap);
+        let err = decode_request(&request(&"t".repeat(MAX_TENANT_BYTES + 1))).unwrap_err();
+        assert!(err.contains("tenant name longer than 64 bytes"), "{err}");
     }
 
     #[test]

@@ -279,6 +279,32 @@ fn hostile_nesting_and_retired_options_leave_the_daemon_answering() {
     let reply = decode_response(roundtrip(r#"{"cmd":"stats"}"#).trim()).expect("decode");
     assert!(reply.ok, "same connection still answers: {reply:?}");
 
+    // A 1 MB tenant name must cost one bad-request error, not a 1 MB
+    // ledger entry: the daemon keeps an account per tenant name.
+    let small = Request::Prove {
+        script: "table R(int);\nverify R == R;".into(),
+        opts: RequestOptions::default(),
+    };
+    let long_tenant = "t".repeat(1_000_000);
+    let reply = roundtrip(&encode_request(&Json::Null, &long_tenant, &small));
+    let reply = decode_response(reply.trim()).expect("decode");
+    assert!(!reply.ok);
+    let error = reply.error.expect("error");
+    assert!(
+        error.contains("tenant name longer than 64 bytes"),
+        "{error}"
+    );
+    let reply = decode_response(roundtrip(r#"{"cmd":"stats"}"#).trim()).expect("decode");
+    assert!(reply.ok, "same connection still answers: {reply:?}");
+    assert!(
+        reply
+            .lines
+            .iter()
+            .any(|l| l.starts_with("requests: 9 (4 ok, 4 error")),
+        "the long tenant name counts as one request and one error: {:?}",
+        reply.lines
+    );
+
     // Old clients may still send the retired `shared-cache` and
     // `session` fields: the daemon answers byte for byte as if they
     // were absent.

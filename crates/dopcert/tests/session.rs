@@ -14,7 +14,6 @@ use egraph::Budget;
 use hottsql::ast::Query;
 use hottsql::env::QueryEnv;
 use proptest::prelude::*;
-use uninomial::normalize::NormCache;
 
 fn engine(saturate: SaturateMode) -> Engine {
     Engine::with_config(EngineConfig {
@@ -167,26 +166,11 @@ fn plan_session_rebind_under_new_statistics_invalidates_the_memo() {
     let (env, pairs) = corpus(0x57A1E, 1, 4);
     let q = pairs[0].0.clone();
     let opts = OptimizeOptions::default();
-    let mut cache = NormCache::new();
     let mut session = PlanSession::new(opts.budget);
     let small = Statistics::new().with_default_rows(10.0);
     let large = Statistics::new().with_default_rows(1e6);
-    let a = optimize(
-        &q,
-        &env,
-        &small,
-        opts,
-        PlanCtx::session(&mut cache, &mut session),
-    )
-    .unwrap();
-    let b = optimize(
-        &q,
-        &env,
-        &large,
-        opts,
-        PlanCtx::session(&mut cache, &mut session),
-    )
-    .unwrap();
+    let a = optimize(&q, &env, &small, opts, PlanCtx::session(&mut session)).unwrap();
+    let b = optimize(&q, &env, &large, opts, PlanCtx::session(&mut session)).unwrap();
     assert!(
         b.cost_before > a.cost_before,
         "a session reused under new statistics must not replay stale costs \
@@ -195,14 +179,7 @@ fn plan_session_rebind_under_new_statistics_invalidates_the_memo() {
         a.cost_before
     );
     // And rebinding back must still be self-consistent.
-    let c = optimize(
-        &q,
-        &env,
-        &small,
-        opts,
-        PlanCtx::session(&mut cache, &mut session),
-    )
-    .unwrap();
+    let c = optimize(&q, &env, &small, opts, PlanCtx::session(&mut session)).unwrap();
     assert_eq!(a.cost_before, c.cost_before);
     assert_eq!(a.output, c.output);
 }

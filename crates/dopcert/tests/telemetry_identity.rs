@@ -74,12 +74,12 @@ fn responses_are_bit_identical_with_telemetry_on_and_off() {
     assert_eq!(off, tracing_on, "tracing changed a response");
 
     // The instrumentation actually fired: the enabled runs recorded
-    // phase spans and memo counters.
+    // phase spans, normalization among them.
     let snap = telemetry::snapshot();
     assert!(snap.hist("egraph.run").is_some(), "no egraph.run span");
     assert!(
-        snap.counter("memo.norm.hit") + snap.counter("memo.norm.miss") > 0,
-        "no normalization memo traffic"
+        snap.hist("uninomial.normalize").is_some(),
+        "no uninomial.normalize span"
     );
     let events = telemetry::take_trace();
     assert!(!events.is_empty(), "tracing recorded no events");

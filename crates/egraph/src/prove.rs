@@ -7,14 +7,16 @@
 //! saturation — and then replaces the bespoke matching tactics with the
 //! generic e-graph search: both normal forms are seeded, the compiled
 //! lemma rewrites run under budget, and success extracts the union-find
-//! explanation into the proof trace.
+//! explanation into the proof trace. Both entry points normalize with
+//! the one stateless [`normalize`]; the session path differs only in
+//! closing the goal on a persistent [`Session`].
 
 use crate::session::Session;
 use crate::solve::{Budget, Outcome, Solver, Stats};
 use std::fmt;
 use uninomial::axioms::RelAxiom;
 use uninomial::lemmas::Lemma;
-use uninomial::normalize::{normalize, normalize_with_cache, NormCache, Trace};
+use uninomial::normalize::{normalize, NormCache, Spnf, Trace};
 use uninomial::prove::{Method, Proof};
 use uninomial::syntax::{UExpr, VarGen};
 
@@ -46,8 +48,8 @@ impl fmt::Display for SaturateFailure {
 impl std::error::Error for SaturateFailure {}
 
 /// Proves `lhs = rhs` by equality saturation under the given budget,
-/// on a fresh [`Solver`] and without a normalization cache — the
-/// uncached reference the session path is checked against.
+/// on a fresh [`Solver`] — the sessionless reference the session path
+/// is checked against.
 ///
 /// # Errors
 ///
@@ -60,7 +62,7 @@ pub fn prove_eq_saturate(
     gen: &mut VarGen,
     budget: Budget,
 ) -> Result<Proof, SaturateFailure> {
-    let (mut trace, nl, nr) = saturate_prefix(lhs, rhs, axioms, gen, None);
+    let (mut trace, nl, nr) = saturate_prefix(lhs, rhs, axioms, gen);
     let el = nl.reify();
     let er = nr.reify();
     let mut solver = Solver::new(budget);
@@ -88,11 +90,13 @@ pub fn prove_eq_saturate(
     })
 }
 
-/// [`prove_eq_saturate`] with memoized normalization through a reusable
-/// [`NormCache`] and a persistent [`Session`] — the path every prover
-/// takes. The goal-closing search runs under the session's budget and
-/// is memoized across goals; its answer is byte-identical to
+/// [`prove_eq_saturate`] on a persistent [`Session`] — the path every
+/// prover takes. The goal-closing search runs under the session's
+/// budget and is memoized across goals; its answer is byte-identical to
 /// [`prove_eq_saturate`] by construction (see the [`Session`] docs).
+///
+/// `_cache` is unused: the normalizer keeps no state. The parameter
+/// stays only because the `perfbench/` harness still passes one.
 ///
 /// # Errors
 ///
@@ -102,10 +106,10 @@ pub fn prove_eq_saturate_session(
     rhs: &UExpr,
     axioms: &[RelAxiom],
     gen: &mut VarGen,
-    cache: &mut NormCache,
+    _cache: &mut NormCache,
     session: &mut Session,
 ) -> Result<Proof, SaturateFailure> {
-    let (mut trace, nl, nr) = saturate_prefix(lhs, rhs, axioms, gen, Some(cache));
+    let (mut trace, nl, nr) = saturate_prefix(lhs, rhs, axioms, gen);
     let el = nl.reify();
     let er = nr.reify();
     let prop = nl.is_prop() && nr.is_prop();
@@ -121,34 +125,21 @@ pub fn prove_eq_saturate_session(
 }
 
 /// The trace prefix every saturation proof shares: functional
-/// extensionality, (possibly memoized) normalization, and declared
-/// integrity-constraint axioms.
+/// extensionality, normalization, and declared integrity-constraint
+/// axioms.
 fn saturate_prefix(
     lhs: &UExpr,
     rhs: &UExpr,
     axioms: &[RelAxiom],
     gen: &mut VarGen,
-    cache: Option<&mut NormCache>,
-) -> (
-    Trace,
-    uninomial::normalize::Spnf,
-    uninomial::normalize::Spnf,
-) {
+) -> (Trace, Spnf, Spnf) {
     let mut trace = Trace::new();
     trace.step(
         Lemma::FunExt,
         "reduce query equality to pointwise equality of denotations",
     );
-    let (nl, nr) = match cache {
-        Some(cache) => (
-            normalize_with_cache(lhs, gen, &mut trace, cache),
-            normalize_with_cache(rhs, gen, &mut trace, cache),
-        ),
-        None => (
-            normalize(lhs, gen, &mut trace),
-            normalize(rhs, gen, &mut trace),
-        ),
-    };
+    let nl = normalize(lhs, gen, &mut trace);
+    let nr = normalize(rhs, gen, &mut trace);
     let nl = uninomial::axioms::saturate(&nl, axioms, gen, &mut trace);
     let nr = uninomial::axioms::saturate(&nr, axioms, gen, &mut trace);
     (trace, nl, nr)

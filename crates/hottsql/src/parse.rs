@@ -117,7 +117,7 @@ impl Parser {
     /// Lexes `input`. Parentheses are counted here, before any
     /// recursion, so a hostile run of `(` costs no stack.
     fn new(input: &str) -> Result<Parser> {
-        let toks = lex(input);
+        let toks = lex(input)?;
         let mut open = 0usize;
         for (tok, offset) in &toks {
             match tok {
@@ -507,7 +507,16 @@ impl Parser {
     }
 }
 
-fn lex(input: &str) -> Vec<(Tok, usize)> {
+/// The error for malformed input at byte `offset`.
+fn lex_error<T>(message: String, offset: usize) -> Result<T> {
+    Err(HottsqlError::Parse { message, offset })
+}
+
+/// Splits `input` into tokens tagged with their byte offsets. Every
+/// byte belongs to a token or to whitespace: an unknown character, an
+/// unterminated string, a `-` without digits and an integer outside the
+/// `i64` range are errors, so the parser never sees part of a query.
+fn lex(input: &str) -> Result<Vec<(Tok, usize)>> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -540,16 +549,14 @@ fn lex(input: &str) -> Vec<(Tok, usize)> {
                 i += 1;
             }
             '\'' | '"' => {
-                let quote = c;
+                // The quote is ASCII, so the text between the quotes is
+                // whole UTF-8 characters.
                 let start = i;
-                i += 1;
-                let mut s = String::new();
-                while i < bytes.len() && bytes[i] as char != quote {
-                    s.push(bytes[i] as char);
-                    i += 1;
-                }
-                i += 1; // closing quote (or EOF)
-                out.push((Tok::Str(s), start));
+                let Some(len) = input[i + 1..].find(c) else {
+                    return lex_error("unterminated string literal".into(), start);
+                };
+                out.push((Tok::Str(input[i + 1..i + 1 + len].to_owned()), start));
+                i += len + 2;
             }
             '-' | '0'..='9' => {
                 let start = i;
@@ -557,12 +564,27 @@ fn lex(input: &str) -> Vec<(Tok, usize)> {
                 if neg {
                     i += 1;
                 }
-                let mut n: i64 = 0;
+                let digits = i;
+                // Accumulated with the literal's sign, so i64::MIN fits.
+                let mut n: Option<i64> = Some(0);
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    n = n * 10 + (bytes[i] - b'0') as i64;
+                    let d = i64::from(bytes[i] - b'0');
+                    n = n.and_then(|n| n.checked_mul(10)).and_then(|n| {
+                        if neg {
+                            n.checked_sub(d)
+                        } else {
+                            n.checked_add(d)
+                        }
+                    });
                     i += 1;
                 }
-                out.push((Tok::Int(if neg { -n } else { n }), start));
+                if i == digits {
+                    return lex_error("`-` without digits".into(), start);
+                }
+                let Some(n) = n else {
+                    return lex_error(format!("integer {} out of range", &input[start..i]), start);
+                };
+                out.push((Tok::Int(n), start));
             }
             _ if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
                 let start = i;
@@ -579,15 +601,15 @@ fn lex(input: &str) -> Vec<(Tok, usize)> {
                 out.push((Tok::Ident(s), start));
             }
             _ => {
-                // Unknown character: emit as EOF marker position; the
-                // parser will report an error here.
-                out.push((Tok::Eof, i));
-                i += 1;
+                // Every token before this one ended on a character
+                // boundary, so `i` starts a whole character.
+                let ch = input[i..].chars().next().expect("i < input.len()");
+                return lex_error(format!("unexpected character {ch:?}"), i);
             }
         }
     }
     out.push((Tok::Eof, input.len()));
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -778,6 +800,81 @@ mod tests {
         };
         check(&queries, |s| parse_query(s).map(drop));
         check(&preds, |s| parse_pred(s).map(drop));
+    }
+
+    /// The parse error for `input`, as `(offset, message)`.
+    fn parse_error(input: &str) -> (usize, String) {
+        match parse_query(input) {
+            Err(HottsqlError::Parse { message, offset }) => (offset, message),
+            other => panic!("{input:?} should not parse: {other:?}"),
+        }
+    }
+
+    /// The right side of the `=` in the query's `WHERE` clause.
+    fn where_rhs(input: &str) -> Expr {
+        let q = parse_query(input).unwrap();
+        let Query::Select(_, from) = q else {
+            panic!("expected select: {q}");
+        };
+        let Query::Where(_, pred) = *from else {
+            panic!("expected where: {from}");
+        };
+        let Predicate::Eq(_, rhs) = pred else {
+            panic!("expected `=`: {pred}");
+        };
+        rhs
+    }
+
+    #[test]
+    fn integers_outside_i64_are_errors() {
+        let q = "SELECT Right FROM R WHERE Right = 18446744073709551616";
+        let (offset, message) = parse_error(q);
+        assert_eq!(offset, 34, "{message}");
+        assert!(message.contains("out of range"), "{message}");
+        let (offset, _) = parse_error("SELECT Right FROM R WHERE Right = 9223372036854775808");
+        assert_eq!(offset, 34);
+        assert_eq!(
+            where_rhs("SELECT Right FROM R WHERE Right = -9223372036854775808"),
+            Expr::int(i64::MIN)
+        );
+        assert_eq!(
+            where_rhs("SELECT Right FROM R WHERE Right = 9223372036854775807"),
+            Expr::int(i64::MAX)
+        );
+    }
+
+    #[test]
+    fn a_minus_without_digits_is_an_error() {
+        let (offset, message) = parse_error("SELECT Right FROM R WHERE Right = -");
+        assert_eq!(offset, 34, "{message}");
+        assert!(message.contains("without digits"), "{message}");
+    }
+
+    #[test]
+    fn an_unknown_character_is_an_error() {
+        let (offset, message) = parse_error("SELECT Right FROM R WHERE Right = 1 ! OR Right = 2");
+        assert_eq!(offset, 36, "{message}");
+        assert!(message.contains("'!'"), "{message}");
+        let (offset, message) = parse_error("SELECT Right FROM R WHERE Right = é");
+        assert_eq!(offset, 34, "{message}");
+        assert!(message.contains("'é'"), "{message}");
+    }
+
+    #[test]
+    fn an_unterminated_string_is_an_error() {
+        let (offset, message) = parse_error("SELECT Right FROM R WHERE Right = 'abc");
+        assert_eq!(offset, 34, "{message}");
+        assert!(message.contains("unterminated"), "{message}");
+    }
+
+    #[test]
+    fn string_literals_are_utf8_text() {
+        for q in [
+            "SELECT Right FROM R WHERE Right = 'é'",
+            "SELECT Right FROM R WHERE Right = \"é\"",
+        ] {
+            assert_eq!(where_rhs(q), Expr::value("é"), "{q}");
+        }
     }
 
     #[test]

@@ -11,7 +11,12 @@
 //! cheapest candidate, ultimately the input itself, whose reflexive
 //! certificate always exists. `cost_after ≤ cost_before` therefore
 //! holds by construction, with both costs measured the same way (on the
-//! query denotations, not on intermediate forms).
+//! query denotations, not on intermediate forms). [`Certificate::replay`]
+//! re-runs the very derivation that certified the plan, so a replay
+//! that disagrees means the report, not the checker, changed.
+//!
+//! The only state a call keeps is the [`PlanSession`] in its [`PlanCtx`]:
+//! normalization keeps none.
 //!
 //! Candidate plans come from two routes:
 //!
@@ -35,8 +40,8 @@ use relalg::stats::Statistics;
 use relalg::Schema;
 use std::fmt;
 use std::sync::Arc;
-use uninomial::normalize::{normalize, normalize_with_cache, NormCache, Trace};
-use uninomial::prove::{prove_eq_cached, prove_eq_with_axioms, Method, Proof, ProofTrace};
+use uninomial::normalize::{normalize, NormCache, Trace};
+use uninomial::prove::{prove_eq_with_axioms, Method, ProofTrace};
 use uninomial::syntax::{Term, UExpr, VarGen};
 
 /// Optimization options.
@@ -80,19 +85,15 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// Replays the certificate: re-derives the input ≡ output proof
-    /// on uncached, sessionless provers (tactics, then a fresh
-    /// saturation solver) and checks that it reproduces this trace step
-    /// for step. `false` means the certificate does not match what the
-    /// checker derives — a corrupt or forged report, or a memo that
-    /// diverged from the pipeline it caches.
+    /// Replays the certificate: re-derives the input ≡ output proof by
+    /// the same derivation [`optimize`] certifies with (tactics, then a
+    /// fresh saturation solver) and checks that it reproduces this trace
+    /// step for step. `false` means the certificate does not match what
+    /// the checker derives — a corrupt or forged report, or a plan memo
+    /// that diverged from the pipeline it caches.
     pub fn replay(&self, input: &Query, output: &Query, env: &QueryEnv, budget: Budget) -> bool {
-        let fresh = derive(input, output, env, |el, er, gen| {
-            prove_eq_with_axioms(el, er, &[], gen)
-                .ok()
-                .or_else(|| egraph::prove_eq_saturate(el, er, &[], gen, budget).ok())
-        });
-        fresh.is_some_and(|c| c.method == self.method && c.trace.steps() == self.trace.steps())
+        derive(input, output, env, budget)
+            .is_some_and(|c| c.method == self.method && c.trace.steps() == self.trace.steps())
     }
 }
 
@@ -148,17 +149,18 @@ impl fmt::Display for OptimizeError {
 
 impl std::error::Error for OptimizeError {}
 
-/// The normalization/session context an [`optimize`] call runs in.
+/// The session context an [`optimize`] call runs in.
 ///
 /// Borrowed (not owned) so a batch worker can thread its long-lived
-/// cache and session through many calls ([`PlanCtx::session`]). A
-/// missing cache or session is replaced by a fresh one for the call,
-/// so `PlanCtx::default()` plans on fresh state; every call runs the
-/// same pipeline either way.
+/// plan session through many calls ([`PlanCtx::session`]). A missing
+/// session is replaced by a fresh one for the call, so
+/// `PlanCtx::default()` plans on fresh state; every call runs the same
+/// pipeline either way.
 #[derive(Debug, Default)]
 pub struct PlanCtx<'a> {
-    /// Memoized normalization, kept across calls. Reports are identical
-    /// with a warm or a fresh cache (the cache is trace-exact).
+    /// Unused: the normalizer keeps no state, and [`optimize`] ignores
+    /// this field. It stays only because the `perfbench/` harness still
+    /// sets it.
     pub cache: Option<&'a mut NormCache>,
     /// Persistent per-worker session: the plan memo, kept across calls.
     /// Its budget bounds the certificates' saturation fallback; a
@@ -174,11 +176,10 @@ pub struct PlanCtx<'a> {
 }
 
 impl<'a> PlanCtx<'a> {
-    /// A full session context: memoized normalization plus the
-    /// persistent per-worker [`PlanSession`].
-    pub fn session(cache: &'a mut NormCache, session: &'a mut PlanSession) -> PlanCtx<'a> {
+    /// A context on the persistent per-worker [`PlanSession`].
+    pub fn session(session: &'a mut PlanSession) -> PlanCtx<'a> {
         PlanCtx {
-            cache: Some(cache),
+            cache: None,
             session: Some(session),
             mined: None,
         }
@@ -210,14 +211,7 @@ pub fn optimize(
     ctx: PlanCtx<'_>,
 ) -> Result<OptimizeReport, OptimizeError> {
     let _span = telemetry::span("optimizer.query");
-    let (mut fresh_cache, mut fresh_session);
-    let cache = match ctx.cache {
-        Some(cache) => cache,
-        None => {
-            fresh_cache = NormCache::new();
-            &mut fresh_cache
-        }
-    };
+    let mut fresh_session;
     let session = match ctx.session {
         Some(session) => session,
         None => {
@@ -243,7 +237,7 @@ pub fn optimize(
         return Ok(report);
     }
     telemetry::count("memo.plan.miss", 1);
-    let report = optimize_query_impl(q, env, stats, opts, cache, session.budget, mined)?;
+    let report = optimize_query_impl(q, env, stats, opts, session.budget, mined)?;
     session.record_plan(q, &report);
     Ok(report)
 }
@@ -253,7 +247,6 @@ fn optimize_query_impl(
     env: &QueryEnv,
     stats: &Statistics,
     opts: OptimizeOptions,
-    cache: &mut NormCache,
     cert_budget: Budget,
     mined: Option<&Arc<Vec<MinedRule>>>,
 ) -> Result<OptimizeReport, OptimizeError> {
@@ -269,7 +262,7 @@ fn optimize_query_impl(
 
     // Plan search: normalize, seed, saturate, extract cheapest.
     let mut scratch = Trace::new();
-    let nf = normalize_with_cache(&el, &mut gen, &mut scratch, cache);
+    let nf = normalize(&el, &mut gen, &mut scratch);
     let mut solver = Solver::new(opts.budget);
     if let Some(m) = mined {
         solver.set_mined_rules(Arc::clone(m));
@@ -322,7 +315,7 @@ fn optimize_query_impl(
     // Ship the cheapest candidate that certifies; the input always
     // does (reflexive proof), so the loop cannot fall through.
     for (k, (cost, cand, route)) in measured.into_iter().enumerate() {
-        let Some(certificate) = certify(q, &cand, env, cache, cert_budget) else {
+        let Some(certificate) = certify(q, &cand, env, cert_budget) else {
             continue;
         };
         let route = if cand == *q { Route::Unchanged } else { route };
@@ -372,29 +365,15 @@ fn measure(q: &Query, env: &QueryEnv, model: &StatsCost) -> Option<Cost> {
 /// then saturation on a fresh solver under `budget` — and packages the
 /// trace as a [`Certificate`]. Deterministic: the same pair always
 /// yields the same trace, which is what makes certificates replayable.
-fn certify(
-    input: &Query,
-    output: &Query,
-    env: &QueryEnv,
-    cache: &mut NormCache,
-    budget: Budget,
-) -> Option<Certificate> {
+fn certify(input: &Query, output: &Query, env: &QueryEnv, budget: Budget) -> Option<Certificate> {
     let _span = telemetry::span("optimizer.certify");
-    derive(input, output, env, |el, er, gen| {
-        prove_eq_cached(el, er, &[], gen, cache)
-            .ok()
-            .or_else(|| egraph::prove_eq_saturate(el, er, &[], gen, budget).ok())
-    })
+    derive(input, output, env, budget)
 }
 
-/// Denotes `input` and `output` over one output tuple variable and
-/// packages what `prove` derives from the two denotations.
-fn derive(
-    input: &Query,
-    output: &Query,
-    env: &QueryEnv,
-    prove: impl FnOnce(&UExpr, &UExpr, &mut VarGen) -> Option<Proof>,
-) -> Option<Certificate> {
+/// The derivation [`certify`] and [`Certificate::replay`] share: denotes
+/// `input` and `output` over one output tuple variable, then proves the
+/// two denotations equal by the tactics, falling back to saturation.
+fn derive(input: &Query, output: &Query, env: &QueryEnv, budget: Budget) -> Option<Certificate> {
     let mut gen = VarGen::new();
     let (t, el) = denote_closed_query(input, env, &mut gen).ok()?;
     let er = denote_query(
@@ -406,7 +385,9 @@ fn derive(
         &mut gen,
     )
     .ok()?;
-    let proof = prove(&el, &er, &mut gen)?;
+    let proof = prove_eq_with_axioms(&el, &er, &[], &mut gen)
+        .ok()
+        .or_else(|| egraph::prove_eq_saturate(&el, &er, &[], &mut gen, budget).ok())?;
     Some(Certificate {
         method: proof.method(),
         trace: proof.trace().clone(),

@@ -1,6 +1,6 @@
 //! Named counters + histograms and the Prometheus-style text exposition.
 //!
-//! Metric names are dotted (`memo.norm.hit`, `egraph.rebuild`) and may
+//! Metric names are dotted (`memo.verdict.hit`, `egraph.rebuild`) and may
 //! carry a literal label suffix (`request.latency_ns{kind="prove"}`). The
 //! exposition sanitizes dots to underscores, prefixes `dopcert_`, and for
 //! histograms emits cumulative `_bucket{le=...}` lines plus `_sum`,

@@ -11,7 +11,8 @@
 //!   type-valued [`UExpr`]s (the paper's UNINOMIAL expressions).
 //! - [`normalize`] — rewriting into *sum-product normal form* ([`Spnf`]):
 //!   a sum of `Σ x₁…xₖ. (product of atoms)` terms, using only the trusted
-//!   semiring/squash/sum axioms cataloged in [`lemmas`].
+//!   semiring/squash/sum axioms cataloged in [`lemmas`]. One stateless
+//!   tree walker holds every structural rule.
 //! - [`congruence`] — congruence closure over tuple terms, used to reason
 //!   from equality atoms (the paper's Nelson–Oppen-style step, Sec. 3.4).
 //! - [`equiv`] — equivalence of normal forms up to variable bijection and
@@ -58,7 +59,7 @@ pub mod prove;
 pub mod syntax;
 
 pub use axioms::RelAxiom;
-pub use normalize::{Atom, NormCache, Spnf, SpnfTerm};
+pub use normalize::{Atom, Spnf, SpnfTerm};
 pub use prove::{prove_eq, Proof, ProofTrace, ProveError};
 pub use syntax::intern::{Interner, TermId, UExprId};
 pub use syntax::{Term, UExpr, Var, VarGen};

@@ -17,12 +17,16 @@
 //! 2. **Canonicity up to bijection** — two normal forms denote equal
 //!    functions whenever [`crate::equiv`] finds a sum/product/variable
 //!    matching, which suffices for all rewrite rules in the paper.
+//!
+//! There is one normalizer, the tree walker behind [`normalize`]. It
+//! keeps no state between calls, and every call, from the provers, the
+//! planner, the e-graph oracles or certificate replay, is timed by the
+//! `uninomial.normalize` telemetry span.
 
 use crate::lemmas::Lemma;
-use crate::syntax::intern::{Interner, UExprId};
 use crate::syntax::{Term, UExpr, Var, VarGen};
 use relalg::Schema;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A record of lemma applications — the machine-checkable skeleton of a
@@ -307,15 +311,10 @@ impl fmt::Display for Spnf {
 /// The input's binders are refreshed first, so expressions with shared
 /// (cloned) subtrees are handled correctly.
 pub fn normalize(e: &UExpr, gen: &mut VarGen, trace: &mut Trace) -> Spnf {
-    let e = normalization_input(e, gen);
-    norm(&e, gen, trace)
-}
-
-/// The exact tree the normalizers hand to the rewriting core:
-/// β/η-reduced with all binders refreshed from `gen`.
-fn normalization_input(e: &UExpr, gen: &mut VarGen) -> UExpr {
+    let _span = telemetry::span("uninomial.normalize");
     gen.reserve_above(e.max_var_id());
-    e.beta_reduce_terms().refresh_binders(gen)
+    let e = e.beta_reduce_terms().refresh_binders(gen);
+    norm(&e, gen, trace)
 }
 
 fn norm(e: &UExpr, gen: &mut VarGen, trace: &mut Trace) -> Spnf {
@@ -824,185 +823,28 @@ pub(crate) fn simplify_term(
     Some(t)
 }
 
-/// A memo table for the hash-consed normalizer: an [`Interner`] plus a
-/// map from interned node id to the node's normal form (and the trace
-/// fragment its normalization records).
-///
-/// Only **binder-free** nodes (no `Σ`, no aggregate) are memoized. For
-/// those, `norm` never draws a fresh variable, so normalization is a
-/// pure function of the tree: the cached [`Spnf`] and trace fragment are
-/// *exactly* what recomputation would produce. Binder-carrying nodes are
-/// recomputed (their results depend on the [`VarGen`] state), but their
-/// binder-free subtrees still hit the cache.
-///
-/// The cache is reusable across many [`normalize_with_cache`] calls —
-/// that is the point: the Fig. 8 catalog re-normalizes the same
-/// denotation fragments (selection predicates, join conditions, base
-/// relation atoms) dozens of times, and each worker of the batch engine
-/// carries one cache for all the rules it proves.
+/// Unused: the normalizer keeps no state. Kept, empty, only because the
+/// `perfbench/` harness still names it; the next change to that harness
+/// deletes it.
 #[derive(Clone, Debug, Default)]
-pub struct NormCache {
-    interner: Interner,
-    memo: HashMap<UExprId, MemoEntry>,
-    hits: u64,
-    misses: u64,
-}
-
-/// A memoized normalization result: the normal form plus the trace
-/// fragment its computation records.
-type MemoEntry = (Spnf, Vec<(Lemma, String)>);
+pub struct NormCache;
 
 impl NormCache {
-    /// An empty cache.
+    /// The (stateless) cache.
     pub fn new() -> NormCache {
-        NormCache::default()
-    }
-
-    /// Number of memo-table hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
+        NormCache
     }
 }
 
-/// [`normalize`], but with subterm-level memoization through `cache`.
-///
-/// Produces bit-for-bit the same [`Spnf`] *and the same trace steps* as
-/// [`normalize`] on the same inputs — property-tested in
-/// `tests/prop_intern.rs` — while normalizing every distinct binder-free
-/// subterm at most once per cache lifetime.
+/// Unused: exactly [`normalize`]; `cache` is ignored. Kept only because
+/// the `perfbench/` harness still calls it.
 pub fn normalize_with_cache(
     e: &UExpr,
     gen: &mut VarGen,
     trace: &mut Trace,
-    cache: &mut NormCache,
+    _cache: &mut NormCache,
 ) -> Spnf {
-    let _span = telemetry::span("uninomial.normalize");
-    let (hits0, misses0) = (cache.hits, cache.misses);
-    let e = normalization_input(e, gen);
-    // One interning pass at the root; the recursion below walks the
-    // id-DAG, so shared subtrees are traversed (and normalized) once.
-    let id = cache.interner.intern(&e);
-    let spnf = norm_id(id, gen, trace, cache);
-    telemetry::count("memo.norm.hit", cache.hits - hits0);
-    telemetry::count("memo.norm.miss", cache.misses - misses0);
-    spnf
-}
-
-/// Mirror of [`norm`] over interned node ids: consults the memo table on
-/// binder-free nodes and recurses by id everywhere else, so cache hits
-/// happen at the deepest shared level without re-walking subtrees.
-fn norm_id(id: UExprId, gen: &mut VarGen, trace: &mut Trace, cache: &mut NormCache) -> Spnf {
-    // Memoize only nodes whose normalization does real work: compound
-    // binder-free nodes and equalities (pair-splitting chains). Trivial
-    // atoms (`0`, `1`, `R(t)`, `b(t)`) normalize in O(|t|) anyway — a
-    // table lookup per occurrence costs more than recomputing them.
-    use crate::syntax::intern::UExprNode;
-    let worth_memoizing = matches!(
-        cache.interner.uexpr_node(id),
-        UExprNode::Add(_, _)
-            | UExprNode::Mul(_, _)
-            | UExprNode::Not(_)
-            | UExprNode::Squash(_)
-            | UExprNode::Eq(_, _)
-    );
-    if worth_memoizing && !cache.interner.has_binder(id) {
-        if let Some((spnf, steps)) = cache.memo.get(&id) {
-            cache.hits += 1;
-            let spnf = spnf.clone();
-            for (lemma, note) in steps.clone() {
-                trace.step(lemma, note);
-            }
-            return spnf;
-        }
-        cache.misses += 1;
-        let mut fragment = Trace::new();
-        let spnf = norm_id_arms(id, gen, &mut fragment, cache);
-        let entry = (spnf.clone(), fragment.steps().to_vec());
-        cache.memo.insert(id, entry);
-        trace.extend(fragment);
-        return spnf;
-    }
-    norm_id_arms(id, gen, trace, cache)
-}
-
-/// The structural arms of [`norm_id`]: identical rewriting logic to
-/// [`norm`], with child subtrees addressed by id.
-fn norm_id_arms(id: UExprId, gen: &mut VarGen, trace: &mut Trace, cache: &mut NormCache) -> Spnf {
-    use crate::syntax::intern::UExprNode;
-    // Nodes are small (ids plus a name/binder); cloning one sidesteps
-    // holding a borrow of the interner across the `&mut cache` recursion.
-    match cache.interner.uexpr_node(id).clone() {
-        UExprNode::Zero => Spnf::zero(),
-        UExprNode::One => Spnf::one(),
-        // Atoms have no `UExpr` children to memoize; `norm` handles them
-        // directly (including aggregate bodies inside their terms, which
-        // sit under a binder and are recomputed by design). Extraction
-        // runs once per distinct atom — the result is memoized under the
-        // atom's own id whenever it is binder-free.
-        UExprNode::Eq(_, _) | UExprNode::Rel(_, _) | UExprNode::Pred(_, _) => {
-            let e = cache.interner.extract(id);
-            norm(&e, gen, trace)
-        }
-        UExprNode::Add(a, b) => {
-            let mut s = norm_id(a, gen, trace, cache);
-            s.terms.extend(norm_id(b, gen, trace, cache).terms);
-            s
-        }
-        UExprNode::Mul(a, b) => {
-            let sa = norm_id(a, gen, trace, cache);
-            let sb = norm_id(b, gen, trace, cache);
-            if sa.terms.len() > 1 || sb.terms.len() > 1 {
-                trace.step(Lemma::Distrib, "distributing × over +");
-            }
-            let mut out = Spnf::zero();
-            for ta in &sa.terms {
-                for tb in &sb.terms {
-                    let mut vars = ta.vars.clone();
-                    vars.extend(tb.vars.iter().cloned());
-                    if !ta.vars.is_empty() || !tb.vars.is_empty() {
-                        trace.step(Lemma::SumHoist, "hoisting Σ out of ×");
-                    }
-                    let mut atoms = ta.atoms.clone();
-                    atoms.extend(tb.atoms.iter().cloned());
-                    if let Some(t) = simplify_term(vars, atoms, gen, trace) {
-                        out.terms.push(t);
-                    }
-                }
-            }
-            out
-        }
-        UExprNode::Sum(v, body) => {
-            let nb = norm_id(body, gen, trace, cache);
-            if nb.terms.len() > 1 {
-                trace.step(Lemma::SumAdd, "distributing Σ over +");
-            }
-            let mut out = Spnf::zero();
-            for (i, t) in nb.terms.iter().enumerate() {
-                let (binder, term) = if i == 0 {
-                    (v.clone(), t.clone())
-                } else {
-                    trace.step(Lemma::AlphaRename, "fresh binder per summand");
-                    let fresh = gen.fresh(v.schema.clone());
-                    (fresh.clone(), term_subst(t, &v, &Term::var(&fresh)))
-                };
-                let mut vars = term.vars.clone();
-                let mut atoms = term.atoms.clone();
-                push_binder_split(binder, &mut vars, &mut atoms, gen, trace);
-                if let Some(t) = simplify_term(vars, atoms, gen, trace) {
-                    out.terms.push(t);
-                }
-            }
-            out
-        }
-        UExprNode::Not(a) => {
-            let na = norm_id(a, gen, trace, cache);
-            atoms_to_spnf(not_spnf(na, trace), gen, trace)
-        }
-        UExprNode::Squash(a) => {
-            let na = norm_id(a, gen, trace, cache);
-            atoms_to_spnf(squash_spnf(na, trace), gen, trace)
-        }
-    }
+    normalize(e, gen, trace)
 }
 
 #[cfg(test)]

@@ -13,11 +13,14 @@
 //! A success returns a [`Proof`] carrying the machine-checkable
 //! [`ProofTrace`]; a failure returns both normal forms for inspection
 //! (the typical counterexample-hunting workflow).
+//!
+//! [`prove_eq_with_axioms`] is the one pipeline; [`prove_eq`] is it with
+//! no axioms. Both keep no state between calls.
 
 use crate::deduce::{self, Ctx};
 use crate::equiv;
 use crate::lemmas::Lemma;
-use crate::normalize::{normalize, normalize_with_cache, NormCache, Spnf, Trace};
+use crate::normalize::{normalize, Spnf, Trace};
 use crate::syntax::{UExpr, VarGen};
 use std::fmt;
 
@@ -175,52 +178,13 @@ pub fn prove_eq_with_axioms(
     axioms: &[crate::axioms::RelAxiom],
     gen: &mut VarGen,
 ) -> Result<Proof, ProveError> {
-    prove_eq_impl(lhs, rhs, axioms, gen, None)
-}
-
-/// [`prove_eq_with_axioms`] with subterm-memoized normalization through
-/// a reusable [`NormCache`].
-///
-/// Same proofs, same traces — the cache only removes repeated work when
-/// structurally identical binder-free subterms recur (within one goal or
-/// across goals sharing the cache). This is the entry point the batch
-/// proving engine uses, one cache per worker thread.
-///
-/// # Errors
-///
-/// Returns [`ProveError`] when no tactic closes the goal.
-pub fn prove_eq_cached(
-    lhs: &UExpr,
-    rhs: &UExpr,
-    axioms: &[crate::axioms::RelAxiom],
-    gen: &mut VarGen,
-    cache: &mut NormCache,
-) -> Result<Proof, ProveError> {
-    prove_eq_impl(lhs, rhs, axioms, gen, Some(cache))
-}
-
-fn prove_eq_impl(
-    lhs: &UExpr,
-    rhs: &UExpr,
-    axioms: &[crate::axioms::RelAxiom],
-    gen: &mut VarGen,
-    cache: Option<&mut NormCache>,
-) -> Result<Proof, ProveError> {
     let mut trace = Trace::new();
     trace.step(
         Lemma::FunExt,
         "reduce query equality to pointwise equality of denotations",
     );
-    let (nl, nr) = match cache {
-        Some(cache) => (
-            normalize_with_cache(lhs, gen, &mut trace, cache),
-            normalize_with_cache(rhs, gen, &mut trace, cache),
-        ),
-        None => (
-            normalize(lhs, gen, &mut trace),
-            normalize(rhs, gen, &mut trace),
-        ),
-    };
+    let nl = normalize(lhs, gen, &mut trace);
+    let nr = normalize(rhs, gen, &mut trace);
     let nl = crate::axioms::saturate(&nl, axioms, gen, &mut trace);
     let nr = crate::axioms::saturate(&nr, axioms, gen, &mut trace);
     if nl == nr {

@@ -2,18 +2,17 @@
 //!
 //! Every distinct [`Term`]/[`UExpr`] tree structure is stored exactly
 //! once in an arena and addressed by a small copyable id ([`TermId`],
-//! [`UExprId`]). Interning gives the hot paths three things the boxed
-//! trees cannot:
+//! [`UExprId`]). Interning gives its users two things the boxed trees
+//! cannot:
 //!
 //! - **O(1) structural equality** — two interned nodes are structurally
 //!   equal iff their ids are equal;
-//! - **cached analyses** — free-variable sets and binder-occurrence
-//!   flags are computed once per distinct node at interning time and
-//!   shared by every occurrence;
-//! - **stable memoization keys** — the memoizing normalizer
-//!   ([`crate::normalize::NormCache`]) keys its table by [`UExprId`], so
-//!   a subterm shared by many rules (or duplicated inside one rule by
-//!   `refresh_binders`-free cloning) normalizes once.
+//! - **stable memoization keys** — the verdict, goal and discovery memos
+//!   key on ids, and the e-graph seeds from the id-DAG, so a subtree
+//!   shared many times is visited once.
+//!
+//! An interned node is only its structure: interning computes no
+//! per-node analyses.
 //!
 //! The arenas only ever grow; ids are never invalidated, and a clone of
 //! an interner keeps every id it had at the time of cloning (ids are
@@ -21,8 +20,7 @@
 
 use crate::syntax::{Term, UExpr, Var};
 use relalg::Value;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// Arena id of an interned [`Term`]. Ids are only meaningful relative to
 /// the [`Interner`] that issued them.
@@ -95,23 +93,12 @@ pub enum UExprNode {
     Pred(String, TermId),
 }
 
-/// Per-node cached analyses.
-#[derive(Clone, Debug)]
-struct NodeMeta {
-    /// Free variables of the subtree rooted here (binders removed).
-    free_vars: Arc<BTreeSet<Var>>,
-    /// Whether the subtree contains any binder (`Σ` or an aggregate).
-    has_binder: bool,
-}
-
 /// The hash-consing arena for both sorts.
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
     terms: Vec<TermNode>,
-    term_meta: Vec<NodeMeta>,
     term_ids: HashMap<TermNode, TermId>,
     uexprs: Vec<UExprNode>,
-    uexpr_meta: Vec<NodeMeta>,
     uexpr_ids: HashMap<UExprNode, UExprId>,
 }
 
@@ -125,10 +112,8 @@ impl Interner {
         if let Some(&id) = self.term_ids.get(&node) {
             return id;
         }
-        let meta = self.term_node_meta(&node);
         let id = TermId(u32::try_from(self.terms.len()).expect("term arena overflow"));
         self.terms.push(node.clone());
-        self.term_meta.push(meta);
         self.term_ids.insert(node, id);
         id
     }
@@ -137,96 +122,10 @@ impl Interner {
         if let Some(&id) = self.uexpr_ids.get(&node) {
             return id;
         }
-        let meta = self.uexpr_node_meta(&node);
         let id = UExprId(u32::try_from(self.uexprs.len()).expect("uexpr arena overflow"));
         self.uexprs.push(node.clone());
-        self.uexpr_meta.push(meta);
         self.uexpr_ids.insert(node, id);
         id
-    }
-
-    fn term_node_meta(&self, node: &TermNode) -> NodeMeta {
-        let empty = || Arc::new(BTreeSet::new());
-        match node {
-            TermNode::Var(v) => NodeMeta {
-                free_vars: Arc::new(BTreeSet::from([v.clone()])),
-                has_binder: false,
-            },
-            TermNode::Unit | TermNode::Const(_) => NodeMeta {
-                free_vars: empty(),
-                has_binder: false,
-            },
-            TermNode::Pair(a, b) => self.merge_meta(&[self.term_meta(*a), self.term_meta(*b)]),
-            TermNode::Fst(t) | TermNode::Snd(t) => self.term_meta(*t).clone(),
-            TermNode::Fn(_, args) => {
-                let metas: Vec<&NodeMeta> = args.iter().map(|a| self.term_meta(*a)).collect();
-                self.merge_meta(&metas)
-            }
-            TermNode::Agg(_, v, body) => {
-                let inner = self.uexpr_meta(*body);
-                let mut fv = (*inner.free_vars).clone();
-                fv.remove(v);
-                NodeMeta {
-                    free_vars: Arc::new(fv),
-                    has_binder: true,
-                }
-            }
-        }
-    }
-
-    fn uexpr_node_meta(&self, node: &UExprNode) -> NodeMeta {
-        let empty = || Arc::new(BTreeSet::new());
-        match node {
-            UExprNode::Zero | UExprNode::One => NodeMeta {
-                free_vars: empty(),
-                has_binder: false,
-            },
-            UExprNode::Add(a, b) | UExprNode::Mul(a, b) => {
-                self.merge_meta(&[self.uexpr_meta(*a), self.uexpr_meta(*b)])
-            }
-            UExprNode::Not(e) | UExprNode::Squash(e) => self.uexpr_meta(*e).clone(),
-            UExprNode::Sum(v, body) => {
-                let inner = self.uexpr_meta(*body);
-                let mut fv = (*inner.free_vars).clone();
-                fv.remove(v);
-                NodeMeta {
-                    free_vars: Arc::new(fv),
-                    has_binder: true,
-                }
-            }
-            UExprNode::Eq(a, b) => self.merge_meta(&[self.term_meta(*a), self.term_meta(*b)]),
-            UExprNode::Rel(_, t) | UExprNode::Pred(_, t) => self.term_meta(*t).clone(),
-        }
-    }
-
-    fn merge_meta(&self, parts: &[&NodeMeta]) -> NodeMeta {
-        // Reuse a child's set when the others contribute nothing — the
-        // common case (e.g. `R(t) × (t = c)` shares `{t}` all the way up).
-        let has_binder = parts.iter().any(|m| m.has_binder);
-        let nonempty: Vec<&&NodeMeta> = parts.iter().filter(|m| !m.free_vars.is_empty()).collect();
-        let free_vars = match nonempty.as_slice() {
-            [] => Arc::new(BTreeSet::new()),
-            [one] => Arc::clone(&one.free_vars),
-            many => {
-                let mut fv = (*many[0].free_vars).clone();
-                for m in &many[1..] {
-                    fv.extend(m.free_vars.iter().cloned());
-                }
-                Arc::new(fv)
-            }
-        };
-        NodeMeta {
-            free_vars,
-            has_binder,
-        }
-    }
-
-    fn term_meta(&self, id: TermId) -> &NodeMeta {
-        &self.term_meta[id.0 as usize]
-    }
-
-    fn uexpr_meta(&self, id: UExprId) -> &NodeMeta {
-        &self.uexpr_meta[id.0 as usize]
     }
 
     /// Interns a tuple term.
@@ -346,24 +245,6 @@ impl Interner {
             UExprNode::Pred(p, t) => UExpr::Pred(p.clone(), self.extract_term(*t)),
         }
     }
-
-    /// Cached free variables of an interned expression. O(1) per call —
-    /// computed once at interning time.
-    pub fn free_vars(&self, id: UExprId) -> &BTreeSet<Var> {
-        &self.uexpr_meta(id).free_vars
-    }
-
-    /// Cached free variables of an interned term.
-    pub fn term_free_vars(&self, id: TermId) -> &BTreeSet<Var> {
-        &self.term_meta(id).free_vars
-    }
-
-    /// Whether the interned expression contains any binder (`Σ` or an
-    /// aggregate). Binder-free expressions normalize purely — the
-    /// precondition for memoizing their normal forms.
-    pub fn has_binder(&self, id: UExprId) -> bool {
-        self.uexpr_meta(id).has_binder
-    }
 }
 
 #[cfg(test)]
@@ -423,26 +304,6 @@ mod tests {
         let mut i = Interner::new();
         let id = i.intern(&e);
         assert_eq!(i.extract(id), e);
-    }
-
-    #[test]
-    fn cached_free_vars_match_tree_computation() {
-        let mut gen = VarGen::new();
-        let free = gen.fresh(leaf_int());
-        let bound = gen.fresh(leaf_int());
-        let e = UExpr::sum(
-            bound.clone(),
-            UExpr::mul(
-                UExpr::rel("R", Term::var(&bound)),
-                UExpr::eq(Term::var(&free), Term::var(&bound)),
-            ),
-        );
-        let mut i = Interner::new();
-        let id = i.intern(&e);
-        assert_eq!(i.free_vars(id), &e.free_vars());
-        assert!(i.has_binder(id));
-        let atom = i.intern(&UExpr::rel("R", Term::var(&free)));
-        assert!(!i.has_binder(atom));
     }
 
     #[test]
