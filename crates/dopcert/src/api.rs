@@ -271,6 +271,50 @@ pub struct PlanReport {
     pub lemmas: Vec<String>,
 }
 
+impl PlanReport {
+    /// The report for query `q`'s optimization outcome. A plan is
+    /// sound only if it is no costlier than its input and its
+    /// certificate replays under `budget` in `env` (see
+    /// [`optimizer::Certificate::replay`]); an errored query is never
+    /// sound. This is the one place both optimize paths gate a plan.
+    pub fn new(
+        q: &Query,
+        report: Result<OptimizeReport, OptimizeError>,
+        env: &QueryEnv,
+        budget: Budget,
+    ) -> PlanReport {
+        match report {
+            Err(e) => PlanReport {
+                sound: false,
+                cost_before: 0.0,
+                cost_after: 0.0,
+                route: String::new(),
+                method: String::new(),
+                steps: 0,
+                input: q.to_string(),
+                output: String::new(),
+                error: Some(e.to_string()),
+                candidates: Vec::new(),
+                lemmas: Vec::new(),
+            },
+            Ok(r) => PlanReport {
+                sound: r.cost_after <= r.cost_before
+                    && r.certificate.replay(&r.input, &r.output, env, budget),
+                cost_before: r.cost_before,
+                cost_after: r.cost_after,
+                route: r.route.to_string(),
+                method: r.certificate.method.to_string(),
+                steps: r.certificate.trace.len(),
+                input: r.input.to_string(),
+                output: r.output.to_string(),
+                error: None,
+                lemmas: certificate_lemmas(&r.certificate),
+                candidates: r.candidates,
+            },
+        }
+    }
+}
+
 /// One catalog rule's check result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuleCheck {
@@ -774,7 +818,7 @@ pub fn execute(req: &Request) -> Response {
         Request::Prove { script, opts } => {
             let script = match parse_script(script) {
                 Ok(s) => s,
-                Err(e) => return Response::Error(format!("parse error: {e}")),
+                Err(e) => return Response::Error(e.to_string()),
             };
             let popts = opts.prove_options(script.budget);
             let mut prover = Prover::new(popts);
@@ -783,7 +827,7 @@ pub fn execute(req: &Request) -> Response {
         Request::Optimize { script, opts } => {
             let script = match parse_script(script) {
                 Ok(s) => s,
-                Err(e) => return Response::Error(format!("parse error: {e}")),
+                Err(e) => return Response::Error(e.to_string()),
             };
             optimize_script(&script, opts, None)
         }
@@ -880,7 +924,7 @@ impl Workspace {
             Request::Prove { script, opts } => {
                 let script = match parse_script(script) {
                     Ok(s) => s,
-                    Err(e) => return Response::Error(format!("parse error: {e}")),
+                    Err(e) => return Response::Error(e.to_string()),
                 };
                 if opts.prove_options(script.budget) != self.prover.opts {
                     return execute(req);
@@ -890,7 +934,7 @@ impl Workspace {
             Request::Optimize { script, opts } => {
                 let script = match parse_script(script) {
                     Ok(s) => s,
-                    Err(e) => return Response::Error(format!("parse error: {e}")),
+                    Err(e) => return Response::Error(e.to_string()),
                 };
                 if opts.prove_options(script.budget).budget != self.planner.budget {
                     return execute(req);
@@ -934,8 +978,10 @@ fn goals_response(script: &Script, outcomes: Vec<GoalOutcome>) -> Response {
 
 /// The optimize pipeline over a parsed script: every distinct goal
 /// query in first-seen order, through the batch engine (fresh path) or
-/// a resident [`Planner`] (serve path), each plan gated on its
-/// certificate replaying.
+/// a resident [`Planner`] (serve path). Both paths build each report
+/// with [`PlanReport::new`], so each plan is gated on its certificate
+/// replaying; on the engine path that replay runs on the worker that
+/// optimized the query, in the same parallel pass.
 fn optimize_script(
     script: &Script,
     opts: &RequestOptions,
@@ -953,51 +999,19 @@ fn optimize_script(
         return Response::Error("the script declares no goals to optimize".into());
     }
     let budget = opts.prove_options(script.budget).budget;
-    let reports: Vec<Result<OptimizeReport, OptimizeError>> = match resident {
+    let finish = |q: &Query, report| PlanReport::new(q, report, &script.env, budget);
+    Response::Plans(match resident {
         Some(planner) => queries
             .iter()
-            .map(|q| planner.optimize(q, &script.env, &script.stats))
+            .map(|q| finish(q, planner.optimize(q, &script.env, &script.stats)))
             .collect(),
-        None => opts
-            .engine(script.budget)
-            .optimize_batch(&script.env, &script.stats, &queries),
-    };
-    Response::Plans(
-        queries
-            .iter()
-            .zip(reports)
-            .map(|(q, report)| match report {
-                Err(e) => PlanReport {
-                    sound: false,
-                    cost_before: 0.0,
-                    cost_after: 0.0,
-                    route: String::new(),
-                    method: String::new(),
-                    steps: 0,
-                    input: q.to_string(),
-                    output: String::new(),
-                    error: Some(e.to_string()),
-                    candidates: Vec::new(),
-                    lemmas: Vec::new(),
-                },
-                Ok(r) => PlanReport {
-                    sound: r.cost_after <= r.cost_before
-                        && r.certificate
-                            .replay(&r.input, &r.output, &script.env, budget),
-                    cost_before: r.cost_before,
-                    cost_after: r.cost_after,
-                    route: r.route.to_string(),
-                    method: r.certificate.method.to_string(),
-                    steps: r.certificate.trace.len(),
-                    input: r.input.to_string(),
-                    output: r.output.to_string(),
-                    error: None,
-                    lemmas: certificate_lemmas(&r.certificate),
-                    candidates: r.candidates,
-                },
-            })
-            .collect(),
-    )
+        None => opts.engine(script.budget).optimize_batch_with(
+            &script.env,
+            &script.stats,
+            &queries,
+            finish,
+        ),
+    })
 }
 
 /// Distinct lemma names in a certificate's trace, first-appearance
@@ -1083,7 +1097,7 @@ mod tests {
             opts: RequestOptions::default(),
         });
         assert!(!resp.ok());
-        assert!(matches!(&resp, Response::Error(e) if e.starts_with("parse error:")));
+        assert!(matches!(&resp, Response::Error(e) if e.starts_with("parse error at byte ")));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The batch proving engine: verify and differentially test whole rule
-//! catalogs across CPU cores.
+//! catalogs, and optimize query batches, across CPU cores.
 //!
 //! The sequential pipeline (`for rule in rules { prove_rule(rule) }`)
 //! leaves every core but one idle. This module distributes the work:
@@ -16,6 +16,14 @@
 //! keeps no state, so nothing else is carried. Answers are
 //! byte-identical to proving each item on fresh state, by
 //! construction.
+//!
+//! A work item is the whole job for its input:
+//! [`Engine::optimize_batch_with`] runs a caller's `finish` step on the
+//! worker that optimized the query. The `api` optimize path passes
+//! [`PlanReport::new`](crate::api::PlanReport::new) (the cost gate, the
+//! certificate replay and the lemma list), so one pass optimizes,
+//! certifies and replays the whole batch on every worker and no core
+//! idles while another replays.
 //!
 //! Determinism: every worker uses its own [`VarGen`] (created per rule
 //! inside the prover, exactly as on the sequential path), and reports
@@ -188,6 +196,25 @@ impl Engine {
         stats: &Statistics,
         queries: &[Query],
     ) -> Vec<Result<OptimizeReport, OptimizeError>> {
+        self.optimize_batch_with(env, stats, queries, |_, report| report)
+    }
+
+    /// [`Engine::optimize_batch`] with a per-query `finish` step run on
+    /// the worker that optimized the query, in the same pass: `finish(q,
+    /// report)` lands in `q`'s input slot. The `api` optimize path
+    /// passes its report builder here, so each plan's certificate
+    /// replays on the worker that certified it.
+    pub fn optimize_batch_with<R, F>(
+        &self,
+        env: &QueryEnv,
+        stats: &Statistics,
+        queries: &[Query],
+        finish: F,
+    ) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&Query, Result<OptimizeReport, OptimizeError>) -> R + Sync,
+    {
         let opts = self.config.prove;
         let mined = &self.config.mined;
         self.par_map(
@@ -197,7 +224,7 @@ impl Engine {
                 planner.set_mined_rules(mined.clone());
                 planner
             },
-            |q, planner| planner.optimize(q, env, stats),
+            |q, planner| finish(q, planner.optimize(q, env, stats)),
         )
     }
 

@@ -131,14 +131,19 @@ impl fmt::Display for GoalOutcome {
 /// Returns a [`HottsqlError::Parse`] describing the first problem.
 pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
     let mut script = Script::default();
-    for (i, stmt) in strip_comments(input).split(';').enumerate() {
-        let stmt = stmt.trim();
+    let text = blank_comments(input);
+    let mut next = 0;
+    for (i, piece) in text.split(';').enumerate() {
+        // `at` is the trimmed statement's byte offset in `input`.
+        let at = next + leading_whitespace(piece);
+        next += piece.len() + 1;
+        let stmt = piece.trim();
         if stmt.is_empty() {
             continue;
         }
         let err = |m: String| HottsqlError::Parse {
             message: format!("statement {}: {m}", i + 1),
-            offset: 0,
+            offset: at,
         };
         if let Some(rest) = stmt.strip_prefix("table") {
             let (name, cols, col_names) = parse_table_decl(rest).map_err(&err)?;
@@ -172,15 +177,13 @@ pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
         {
             let (expect_equivalent, body) = rest;
             let Some((l, r)) = body.split_once("==") else {
-                return Err(HottsqlError::Parse {
-                    message: format!("statement {}: goal needs `==`", i + 1),
-                    offset: 0,
-                });
+                return Err(err("goal needs `==`".into()));
             };
+            let lhs_at = at + stmt.len() - body.len();
             script.goals.push(Goal {
                 expect_equivalent,
-                lhs: parse_query(l.trim())?,
-                rhs: parse_query(r.trim())?,
+                lhs: parse_side(l, lhs_at)?,
+                rhs: parse_side(r, lhs_at + l.len() + "==".len())?,
             });
         } else {
             return Err(err(
@@ -191,14 +194,40 @@ pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
     Ok(script)
 }
 
-/// The script with `--` comments stripped; its statements are the
-/// `;`-separated pieces.
-fn strip_comments(input: &str) -> String {
-    input
-        .lines()
-        .map(|l| l.split("--").next().unwrap_or(""))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// The script with each `--` comment blanked to spaces of the same
+/// byte length, so every byte after it keeps its offset; its
+/// statements are the `;`-separated pieces.
+fn blank_comments(input: &str) -> String {
+    let mut out = String::with_capacity(input.len());
+    for line in input.split_inclusive('\n') {
+        let (code, comment) = line.split_at(line.find("--").unwrap_or(line.len()));
+        out.push_str(code);
+        for c in comment.chars() {
+            match c {
+                '\n' => out.push('\n'),
+                c => out.extend(std::iter::repeat_n(' ', c.len_utf8())),
+            }
+        }
+    }
+    out
+}
+
+/// Bytes of whitespace before `s`'s first non-whitespace character.
+fn leading_whitespace(s: &str) -> usize {
+    s.len() - s.trim_start().len()
+}
+
+/// Parses one goal side, `side`, found at byte `at` of the script: a
+/// parse error's offset counts from the start of the script, not of
+/// the side.
+fn parse_side(side: &str, at: usize) -> Result<Query, HottsqlError> {
+    parse_query(side.trim()).map_err(|e| match e {
+        HottsqlError::Parse { message, offset } => HottsqlError::Parse {
+            message,
+            offset: at + leading_whitespace(side) + offset,
+        },
+        other => other,
+    })
 }
 
 /// Applies one `budget <knob> <value>` directive to `spec`.
@@ -219,7 +248,7 @@ fn budget_directive(rest: &str, spec: &mut BudgetSpec) -> Result<(), String> {
 /// to parse when it runs.
 pub fn budget_directives(input: &str) -> BudgetSpec {
     let mut spec = BudgetSpec::default();
-    for stmt in strip_comments(input).split(';') {
+    for stmt in blank_comments(input).split(';') {
         if let Some(rest) = stmt.trim().strip_prefix("budget ") {
             let _ = budget_directive(rest, &mut spec);
         }
@@ -558,6 +587,41 @@ refute DISTINCT SELECT Right.Left FROM R
         let lines = resp.render();
         assert!(!resp.ok(), "{lines:?}");
         assert!(lines[0].starts_with("error: parse error"), "{lines:?}");
+    }
+
+    /// The byte offset of `src`'s parse error.
+    fn error_offset(src: &str) -> usize {
+        match parse_script(src) {
+            Err(HottsqlError::Parse { offset, .. }) => offset,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_goal_side_error_offset_counts_from_the_script_start() {
+        let src = "table R(int);\n\
+                   verify SELECT Right FROM R WHERE Right = 18446744073709551616 \
+                   == SELECT Right FROM R;";
+        assert_eq!(src.find("1844"), Some(55));
+        assert_eq!(error_offset(src), 55);
+    }
+
+    #[test]
+    fn comments_do_not_shift_later_error_offsets() {
+        let src = "-- a comment here\n\
+                   table R(int);\n\
+                   -- the bang below must not end a query\n\
+                   verify SELECT Right FROM R WHERE Right = 1 ! OR Right = 2\n    \
+                   == SELECT Right FROM R;";
+        assert_eq!(src.find('!'), Some(114));
+        assert_eq!(error_offset(src), 114);
+    }
+
+    #[test]
+    fn a_statement_error_points_at_its_statement() {
+        let src = "table R(int);\nrows Q 5;";
+        assert_eq!(src.find("rows"), Some(14));
+        assert_eq!(error_offset(src), 14);
     }
 
     #[test]

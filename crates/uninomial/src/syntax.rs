@@ -21,8 +21,11 @@ use std::fmt;
 
 /// A bound or free tuple variable, carrying its schema.
 ///
-/// Variables are compared by id only; the schema is bookkeeping used by
-/// normalization (pair-splitting) and the instantiation search.
+/// Equality, ordering and hashing are derived: they compare the id
+/// first and then the schema tree, so two variables with one id are
+/// equal only if their schemas are too, and comparing equal ids walks
+/// both schema trees. The schema is bookkeeping used by normalization
+/// (pair-splitting) and the instantiation search.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var {
     /// Globally unique identifier.
