@@ -392,7 +392,8 @@ pub struct KindLatency {
 /// Counters a `dopcert serve` daemon reports for a `stats` request.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Worker threads (each owning one resident [`Workspace`]).
+    /// Worker threads, each owning one resident [`Workspace`]; the
+    /// workspaces share their verdict and plan memos.
     pub workers: usize,
     /// Requests received (including rejected and malformed ones).
     pub requests: usize,
@@ -859,7 +860,9 @@ pub fn execute(req: &Request) -> Response {
 
 /// Resident per-worker state for the serve daemon: one [`Prover`] and
 /// one [`Planner`], built once at the server's default options and
-/// kept across requests so repeated goals hit the memos.
+/// kept across requests so repeated goals hit the memos. The daemon's
+/// workers hold [`Workspace::sibling`]s of one workspace, so they share
+/// its query-level verdict memo and its plan memo.
 ///
 /// Responses are byte-identical to [`execute`] on fresh state: session
 /// memos replay recorded verdicts/plans of a deterministic pipeline
@@ -888,6 +891,26 @@ impl Workspace {
         Workspace {
             prover: Prover::new(popts),
             planner: Planner::new(popts),
+            mined: None,
+        }
+    }
+
+    /// A workspace at this one's options that shares its two outer
+    /// memos, the query-level verdict memo and the plan memo: a repeat
+    /// is a hit on either. Everything else starts fresh and stays its
+    /// own: the denotation-level memo and its interner, the saturation
+    /// goal memo, the hit counters and the mined catalog.
+    pub fn sibling(&self) -> Workspace {
+        Workspace {
+            prover: Prover {
+                session: self.prover.session.sibling(),
+                opts: self.prover.opts,
+            },
+            planner: Planner {
+                session: self.planner.session.sibling(),
+                budget: self.planner.budget,
+                mined: None,
+            },
             mined: None,
         }
     }
@@ -1114,6 +1137,38 @@ mod tests {
         assert_eq!(fresh.render(), first.render());
         assert_eq!(fresh.render(), second.render());
         assert!(ws.memo_hits() > 0, "repeat request must hit the memo");
+    }
+
+    #[test]
+    fn a_sibling_answers_its_workspaces_repeats_from_the_shared_memos() {
+        let opts = RequestOptions::default();
+        let prove = Request::Prove {
+            script: "table R(int);\ntable S(int);\n\
+                     verify (R UNION ALL S) == (S UNION ALL R);\n\
+                     refute S == (S UNION ALL S);"
+                .into(),
+            opts,
+        };
+        let optimize = Request::Optimize {
+            script: "table R(int, int);\nrows R 1000000;\n\
+                     verify DISTINCT SELECT Right.Left FROM R \
+                     == DISTINCT SELECT Right.Left.Left FROM R, R \
+                     WHERE Right.Left.Left = Right.Right.Left;"
+                .into(),
+            opts,
+        };
+        let mut a = Workspace::new(opts);
+        let mut b = a.sibling();
+        // Two goals, then two distinct queries: each is a hit on B.
+        for req in [prove, optimize] {
+            a.execute(&req);
+            let before = b.memo_hits();
+            let resp = b.execute(&req);
+            assert_eq!(b.memo_hits() - before, 2, "{req:?}");
+            assert!(resp.ok(), "{:?}", resp.render());
+            assert_eq!(resp.render(), execute(&req).render());
+        }
+        assert_eq!(a.memo_hits(), 0, "A only recorded");
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //! refute DISTINCT (R UNION ALL R) == R;   -- expect a counterexample
 //! ```
 //!
+//! A string literal runs from `'` or `"` to the next matching quote,
+//! as in a query, and a `--`, `;` or `==` inside one is literal text.
+//!
 //! Each `verify` goal is checked with the full pipeline: conjunctive-
 //! query decision procedure first, then denotation + tactics; on failure
 //! a counterexample search runs. `refute` goals assert the pair is
@@ -132,11 +135,9 @@ impl fmt::Display for GoalOutcome {
 pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
     let mut script = Script::default();
     let text = blank_comments(input);
-    let mut next = 0;
-    for (i, piece) in text.split(';').enumerate() {
+    for (i, (start, piece)) in statements(&text).enumerate() {
         // `at` is the trimmed statement's byte offset in `input`.
-        let at = next + leading_whitespace(piece);
-        next += piece.len() + 1;
+        let at = start + leading_whitespace(piece);
         let stmt = piece.trim();
         if stmt.is_empty() {
             continue;
@@ -176,10 +177,15 @@ pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
             .or_else(|| stmt.strip_prefix("refute").map(|r| (false, r)))
         {
             let (expect_equivalent, body) = rest;
-            let Some((l, r)) = body.split_once("==") else {
+            let lhs_at = at + stmt.len() - body.len();
+            let Some((l, r)) = split_goal(body) else {
+                // Without an `==`, the body's own parse error comes
+                // first: a literal left open runs to the end of the
+                // script, hiding any `==` after it, and the lexer names
+                // it at its byte.
+                parse_side(body, lhs_at)?;
                 return Err(err("goal needs `==`".into()));
             };
-            let lhs_at = at + stmt.len() - body.len();
             script.goals.push(Goal {
                 expect_equivalent,
                 lhs: parse_side(l, lhs_at)?,
@@ -194,22 +200,91 @@ pub fn parse_script(input: &str) -> Result<Script, HottsqlError> {
     Ok(script)
 }
 
-/// The script with each `--` comment blanked to spaces of the same
-/// byte length, so every byte after it keeps its offset; its
-/// statements are the `;`-separated pieces.
-fn blank_comments(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    for line in input.split_inclusive('\n') {
-        let (code, comment) = line.split_at(line.find("--").unwrap_or(line.len()));
-        out.push_str(code);
-        for c in comment.chars() {
-            match c {
-                '\n' => out.push('\n'),
-                c => out.extend(std::iter::repeat_n(' ', c.len_utf8())),
+/// What a byte of a script belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Part {
+    /// Statement text.
+    Code,
+    /// A string literal, its quotes included.
+    Literal,
+    /// A `--` comment, up to its newline.
+    Comment,
+}
+
+/// Tags each byte of `text` with the [`Part`] it belongs to, the one
+/// scan every statement and goal split goes through. A literal follows
+/// the HoTTSQL lexer's rule (`hottsql::parse::lex`): it opens at `'` or
+/// `"` and ends at the next matching quote, even across a newline, with
+/// no escapes, so an unclosed one runs to the end of `text`. A `--`
+/// outside a literal comments out the rest of its line. Reading bytes
+/// is exact: quotes, `-`, `;`, `=` and the newline are ASCII, and no
+/// byte of a multi-byte UTF-8 character is.
+fn scan(text: &str) -> impl Iterator<Item = (usize, u8, Part)> + '_ {
+    let bytes = text.as_bytes();
+    let mut quote = None;
+    let mut comment = false;
+    bytes.iter().enumerate().map(move |(i, &b)| {
+        let part = if comment {
+            comment = b != b'\n';
+            if comment {
+                Part::Comment
+            } else {
+                Part::Code
             }
+        } else if let Some(q) = quote {
+            if b == q {
+                quote = None;
+            }
+            Part::Literal
+        } else if b == b'\'' || b == b'"' {
+            quote = Some(b);
+            Part::Literal
+        } else if b == b'-' && bytes.get(i + 1) == Some(&b'-') {
+            comment = true;
+            Part::Comment
+        } else {
+            Part::Code
+        };
+        (i, b, part)
+    })
+}
+
+/// The script with each `--` comment blanked to spaces of the same
+/// byte length, so every byte after it keeps its offset.
+fn blank_comments(input: &str) -> String {
+    let bytes = scan(input)
+        .map(|(_, b, part)| if part == Part::Comment { b' ' } else { b })
+        .collect();
+    // A comment runs from an ASCII `-` to a newline or the end.
+    String::from_utf8(bytes).expect("a comment covers whole characters")
+}
+
+/// The statements of `text` (comments already blanked): the pieces
+/// between the `;`s outside string literals, each with its byte offset.
+fn statements(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let ends = scan(text)
+        .filter(|&(_, b, part)| b == b';' && part == Part::Code)
+        .map(|(i, _, _)| i)
+        .chain([text.len()]);
+    let mut start = 0;
+    ends.map(move |end| {
+        let piece = (start, &text[start..end]);
+        start = end + 1;
+        piece
+    })
+}
+
+/// Splits a goal at its first `==` outside string literals.
+fn split_goal(body: &str) -> Option<(&str, &str)> {
+    let mut after_eq = false;
+    for (i, b, part) in scan(body) {
+        let eq = b == b'=' && part == Part::Code;
+        if eq && after_eq {
+            return Some((&body[..i - 1], &body[i + 1..]));
         }
+        after_eq = eq;
     }
-    out
+    None
 }
 
 /// Bytes of whitespace before `s`'s first non-whitespace character.
@@ -248,7 +323,7 @@ fn budget_directive(rest: &str, spec: &mut BudgetSpec) -> Result<(), String> {
 /// to parse when it runs.
 pub fn budget_directives(input: &str) -> BudgetSpec {
     let mut spec = BudgetSpec::default();
-    for stmt in blank_comments(input).split(';') {
+    for (_, stmt) in statements(&blank_comments(input)) {
         if let Some(rest) = stmt.trim().strip_prefix("budget ") {
             let _ = budget_directive(rest, &mut spec);
         }
@@ -622,6 +697,69 @@ refute DISTINCT SELECT Right.Left FROM R
         let src = "table R(int);\nrows Q 5;";
         assert_eq!(src.find("rows"), Some(14));
         assert_eq!(error_offset(src), 14);
+    }
+
+    /// `verify <q> == <q>;` over a one-string-column table, where `q`
+    /// selects the rows equal to `literal`.
+    fn literal_goal(literal: &str) -> String {
+        let q = format!("SELECT Right FROM R WHERE Right = {literal}");
+        format!("table R(string);\nverify {q} == {q};")
+    }
+
+    /// Parses `src`, checks that its one goal compares against
+    /// `expected`, and proves it.
+    fn proves_with_literal(src: &str, expected: &str) {
+        let s = parse_script(src).unwrap_or_else(|e| panic!("{src:?}: {e}"));
+        assert_eq!(s.goals.len(), 1, "{src:?}");
+        assert!(s.goals[0].lhs.to_string().contains(expected), "{src:?}");
+        let outcomes = run_script(&s);
+        assert!(outcomes[0].satisfies(true), "{src:?}: {}", outcomes[0]);
+    }
+
+    #[test]
+    fn a_double_dash_inside_a_literal_is_not_a_comment() {
+        proves_with_literal(&literal_goal("\"a--b\""), "a--b");
+    }
+
+    #[test]
+    fn a_semicolon_inside_a_literal_does_not_end_the_statement() {
+        proves_with_literal(&literal_goal("\"a;b\""), "a;b");
+    }
+
+    #[test]
+    fn a_literal_with_a_comment_marker_before_a_real_comment() {
+        let src = literal_goal("'x -- y'") + " -- comment; with a semicolon";
+        proves_with_literal(&src, "x -- y");
+    }
+
+    #[test]
+    fn a_double_equals_inside_a_literal_does_not_split_the_goal() {
+        proves_with_literal(&literal_goal("\"a==b\""), "a==b");
+    }
+
+    #[test]
+    fn budget_directives_inside_a_literal_are_ignored() {
+        let src = literal_goal("\"a; budget iters 1; b\"");
+        assert_eq!(budget_directives(&src), BudgetSpec::default());
+        assert_eq!(parse_script(&src).unwrap().budget, BudgetSpec::default());
+    }
+
+    #[test]
+    fn an_unterminated_literal_is_reported_at_its_quote() {
+        for src in [
+            "table R(string);\nverify SELECT Right FROM R WHERE Right = 'x == R;",
+            "table R(string);\nverify SELECT Right FROM R WHERE Right = 'x -- y \
+             == SELECT Right FROM R; -- comment; with a semicolon",
+        ] {
+            assert_eq!(src.find('\''), Some(58));
+            match parse_script(src) {
+                Err(HottsqlError::Parse { message, offset }) => {
+                    assert_eq!(message, "unterminated string literal", "{src:?}");
+                    assert_eq!(offset, 58, "{src:?}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

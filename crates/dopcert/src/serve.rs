@@ -1,14 +1,17 @@
 //! `dopcert serve`: the resident proving/optimization daemon.
 //!
 //! The server accepts newline-delimited JSON requests ([`crate::wire`])
-//! over plain TCP and shards them across a fixed pool of worker
-//! threads, each owning one resident [`Workspace`] (prover session +
-//! planner session). Requests are routed by a stable hash of their
-//! script, so a repeated script always lands on the worker whose memos
-//! already hold its verdicts — that is where the hit-rate reported by
-//! `stats` comes from. By the session-identity guarantee, every answer
-//! is byte-identical to a fresh single-shot CLI run of the same
-//! request (`tests/serve.rs` asserts this against [`crate::execute`]).
+//! over plain TCP and puts them on one job queue that a fixed pool of
+//! worker threads takes from: whichever worker is free runs the next
+//! request, so no worker idles while a request waits. Each worker owns
+//! one resident [`Workspace`] (prover session + planner session), and
+//! the workspaces are [`Workspace::sibling`]s that share the
+//! query-level verdict memo and the plan memo, so a repeated script is
+//! a memo hit whichever worker takes it — that is where the hit-rate
+//! reported by `stats` comes from. By the session-identity guarantee,
+//! every answer is byte-identical to a fresh single-shot CLI run of the
+//! same request (`tests/serve.rs` asserts this against
+//! [`crate::execute`]).
 //!
 //! Admission control is per *tenant* (the request's `tenant` field,
 //! default `"default"`): each prove/optimize/catalog/discover request
@@ -28,7 +31,9 @@
 //! latency lands in a per-request-kind histogram, each worker's memo
 //! hits are published *live* (mid-request, not only after a worker
 //! finishes), and a `metrics` request answers with a Prometheus-style
-//! text exposition combining these server-owned series with the
+//! text exposition combining these server-owned series (including the
+//! `dopcert_serve_queued` and `dopcert_serve_in_flight` gauges: requests
+//! waiting in the queue and requests a worker is running) with the
 //! process-wide [`telemetry`] snapshot (phase spans, memo counters).
 //!
 //! Error handling is per request: a malformed line or rejected budget
@@ -46,9 +51,8 @@ use crate::script::budget_directives;
 use crate::wire::{decode_request, encode_response, Json};
 use egraph::session::{Admission, BatchBudget};
 use egraph::solve::Budget;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -88,7 +92,9 @@ pub struct ServeConfig {
     /// Listen address; port 0 picks a free port (the default —
     /// [`Server::local_addr`] reports what was bound).
     pub addr: String,
-    /// Worker threads, each with one resident [`Workspace`].
+    /// Worker threads taking requests from one queue, each with one
+    /// resident [`Workspace`]; the workspaces share their verdict and
+    /// plan memos.
     pub workers: usize,
     /// Options resident workspaces are built at; requests that resolve
     /// to different effective options run on fresh state instead.
@@ -233,6 +239,10 @@ struct Shared {
     tenants: Mutex<TenantLedger>,
     /// Each worker's live memo-hit counters.
     memo_hits: Vec<WorkerHits>,
+    /// Requests waiting in the job queue.
+    queued: AtomicUsize,
+    /// Requests a worker is running.
+    in_flight: AtomicUsize,
     /// End-to-end request latency (µs) per request kind, including
     /// queueing — the tail a client actually observes.
     latency: Mutex<BTreeMap<&'static str, Histogram>>,
@@ -324,11 +334,19 @@ impl Shared {
                 bag.merge_hist(&format!("request.latency_us{{kind=\"{kind}\"}}"), h);
             }
         }
-        bag.render_prometheus()
+        let mut text = bag.render_prometheus();
+        for (name, gauge) in [("queued", &self.queued), ("in_flight", &self.in_flight)] {
+            let value = gauge.load(Ordering::Relaxed);
+            let _ = writeln!(
+                text,
+                "# TYPE dopcert_serve_{name} gauge\ndopcert_serve_{name} {value}"
+            );
+        }
+        text
     }
 }
 
-/// A unit of work handed to a worker: the request plus a reply slot.
+/// A unit of work on the job queue: the request plus a reply slot.
 struct Job {
     req: Request,
     reply: Sender<Response>,
@@ -341,7 +359,7 @@ struct Job {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    senders: Vec<Sender<Job>>,
+    jobs: Sender<Job>,
     listener_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     worker_threads: Vec<JoinHandle<()>>,
 }
@@ -380,16 +398,21 @@ impl Server {
                 .collect(),
             latency: Mutex::new(BTreeMap::new()),
             mined: std::sync::RwLock::new(None),
+            queued: AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
         });
 
-        let mut senders = Vec::with_capacity(workers);
+        // One queue feeds every worker, and every worker's workspace
+        // shares `root`'s verdict and plan memos.
+        let (jobs, queue) = channel::<Job>();
+        let queue = Arc::new(Mutex::new(queue));
+        let root = Workspace::new(shared.config.defaults);
         let mut worker_threads = Vec::with_capacity(workers);
         for slot in 0..workers {
-            let (tx, rx) = channel::<Job>();
-            senders.push(tx);
+            let mut workspace = root.sibling();
+            let queue = Arc::clone(&queue);
             let shared = Arc::clone(&shared);
             worker_threads.push(std::thread::spawn(move || {
-                let mut workspace = Workspace::new(shared.config.defaults);
                 // Live publishing: the resident sessions store into the
                 // shared counters on every memo hit, so `stats` during a
                 // long request reflects it mid-flight.
@@ -397,7 +420,14 @@ impl Server {
                     Arc::clone(&shared.memo_hits[slot].prover),
                     Arc::clone(&shared.memo_hits[slot].planner),
                 );
-                while let Ok(job) = rx.recv() {
+                loop {
+                    // The lock is held while waiting for the next job and
+                    // released before running it. The queue ends once
+                    // every sender is gone.
+                    let next = queue.lock().expect("job queue lock").recv();
+                    let Ok(job) = next else { break };
+                    shared.queued.fetch_sub(1, Ordering::Relaxed);
+                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
                     let start = Instant::now();
                     // The mined catalog is daemon-wide: adopt the latest
                     // published one before a mined-rules plan search …
@@ -418,6 +448,7 @@ impl Server {
                             Some(workspace.mined_catalog());
                     }
                     shared.count_response(&resp, start.elapsed().as_micros());
+                    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
                     // A dropped receiver means the client hung up
                     // mid-request; the work is already counted.
                     let _ = job.reply.send(resp);
@@ -426,7 +457,7 @@ impl Server {
         }
 
         let listener_shared = Arc::clone(&shared);
-        let listener_senders = senders.clone();
+        let listener_jobs = jobs.clone();
         let listener_thread = std::thread::spawn(move || {
             let mut connections = Vec::new();
             for stream in listener.incoming() {
@@ -435,12 +466,12 @@ impl Server {
                 }
                 let Ok(stream) = stream else { continue };
                 let shared = Arc::clone(&listener_shared);
-                let senders = listener_senders.clone();
+                let jobs = listener_jobs.clone();
                 // Dropping a finished connection's handle releases its
                 // stack; `wait` joins the ones still open.
                 connections.retain(|conn: &JoinHandle<()>| !conn.is_finished());
                 connections.push(std::thread::spawn(move || {
-                    serve_connection(stream, &shared, &senders);
+                    serve_connection(stream, &shared, &jobs);
                 }));
             }
             connections
@@ -449,7 +480,7 @@ impl Server {
         Ok(Server {
             addr,
             shared,
-            senders,
+            jobs,
             listener_thread: Some(listener_thread),
             worker_threads,
         })
@@ -480,18 +511,24 @@ impl Server {
     /// Blocks until the listener, every connection, and every worker
     /// have exited. Call after [`Server::shutdown`] or after a client
     /// sent a `shutdown` request.
-    pub fn wait(mut self) {
-        if let Some(listener) = self.listener_thread.take() {
+    pub fn wait(self) {
+        let Server {
+            jobs,
+            listener_thread,
+            worker_threads,
+            ..
+        } = self;
+        if let Some(listener) = listener_thread {
             if let Ok(connections) = listener.join() {
                 for conn in connections {
                     let _ = conn.join();
                 }
             }
         }
-        // Workers exit once every sender is gone (connections hold
-        // clones only transiently, and they have all joined by now).
-        self.senders.clear();
-        for worker in self.worker_threads.drain(..) {
+        // Workers exit once every sender is gone (the listener and the
+        // connections held clones, and they have all exited by now).
+        drop(jobs);
+        for worker in worker_threads {
             let _ = worker.join();
         }
     }
@@ -506,7 +543,7 @@ fn request_shutdown(shared: &Shared, addr: SocketAddr) {
 
 /// One connection's read loop: one request per line, one response line
 /// per request, until EOF or shutdown.
-fn serve_connection(stream: TcpStream, shared: &Shared, senders: &[Sender<Job>]) {
+fn serve_connection(stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) {
     // Reads wake up periodically to poll the shutdown flag; a timeout
     // mid-line keeps the partial line in `line` and resumes appending.
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
@@ -561,7 +598,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, senders: &[Sender<Job>])
                 return;
             };
             if !text.trim().is_empty() {
-                let reply = answer_line(text.trim(), shared, senders);
+                let reply = answer_line(text.trim(), shared, jobs);
                 if send_line(&mut writer, &reply).is_err() {
                     return;
                 }
@@ -608,15 +645,15 @@ fn kind_of(req: &Request) -> &'static str {
 
 /// Answers one request line, recording its end-to-end latency
 /// (decode through response, queueing included) under its kind.
-fn answer_line(line: &str, shared: &Shared, senders: &[Sender<Job>]) -> String {
+fn answer_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> String {
     let start = Instant::now();
-    let (kind, reply) = handle_line(line, shared, senders);
+    let (kind, reply) = handle_line(line, shared, jobs);
     shared.record_latency(kind, start.elapsed().as_micros() as u64);
     reply
 }
 
-/// One request line's actual handling: decode, admit, dispatch, encode.
-fn handle_line(line: &str, shared: &Shared, senders: &[Sender<Job>]) -> (&'static str, String) {
+/// One request line's actual handling: decode, admit, queue, encode.
+fn handle_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> (&'static str, String) {
     shared.counters.lock().expect("counters lock").requests += 1;
     let (id, tenant, req) = match decode_request(line) {
         Ok(parts) => parts,
@@ -687,14 +724,15 @@ fn handle_line(line: &str, shared: &Shared, senders: &[Sender<Job>]) -> (&'stati
     }
 
     let (reply_tx, reply_rx) = channel();
-    let worker = route(&req, senders.len());
-    if senders[worker]
-        .send(Job {
-            req,
-            reply: reply_tx,
-        })
-        .is_err()
-    {
+    // Counted before the send, so a worker never takes a job the gauge
+    // has not counted yet.
+    shared.queued.fetch_add(1, Ordering::Relaxed);
+    let job = Job {
+        req,
+        reply: reply_tx,
+    };
+    if jobs.send(job).is_err() {
+        shared.queued.fetch_sub(1, Ordering::Relaxed);
         shared.counters.lock().expect("counters lock").errors += 1;
         return (
             kind,
@@ -759,34 +797,6 @@ fn admit(tenant: &str, req: &Request, shared: &Shared) -> Result<(), String> {
     }
 }
 
-/// Stable request routing: identical scripts hash to the same worker,
-/// so repeats land on the workspace whose memos already hold them.
-fn route(req: &Request, workers: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    match req {
-        Request::Prove { script, .. } => {
-            "prove".hash(&mut hasher);
-            script.hash(&mut hasher);
-        }
-        Request::Optimize { script, .. } => {
-            "optimize".hash(&mut hasher);
-            script.hash(&mut hasher);
-        }
-        Request::Catalog { .. } => "catalog".hash(&mut hasher),
-        Request::Discover { .. } => "discover".hash(&mut hasher),
-        Request::Mine { seed, .. } => {
-            "mine".hash(&mut hasher);
-            seed.hash(&mut hasher);
-        }
-        Request::Stats
-        | Request::Metrics
-        | Request::Profile
-        | Request::Trace
-        | Request::Shutdown => {}
-    }
-    (hasher.finish() % workers as u64) as usize
-}
-
 /// Blocking client helper: sends one request and reads one response
 /// line — the `dopcert request` subcommand and the CI smoke test.
 ///
@@ -823,18 +833,6 @@ mod tests {
             workers: 1,
             ..ServeConfig::default()
         }
-    }
-
-    #[test]
-    fn routing_is_stable_and_in_range() {
-        let req = Request::Prove {
-            script: "table R(int);\nverify R == R;".into(),
-            opts: RequestOptions::default(),
-        };
-        let w = route(&req, 4);
-        assert_eq!(route(&req, 4), w, "same script, same worker");
-        assert!(w < 4);
-        assert_eq!(route(&Request::Stats, 1), 0);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! batch engine keeps one per worker for its whole shard. It layers a
 //! two-level *verdict memo* over the e-graph session's goal memo.
 //! The outer level keys on the surface query pair + table environment
-//! and answers before the pipeline runs at all; the inner level keys on
+//! and answers before the pipeline runs at all. It may be shared:
+//! [`ProveSession::sibling`] hands another worker a session over the
+//! same outer memo, which is how a `dopcert serve` daemon's workers
+//! answer each other's repeats. The inner level, the goal memo and the
+//! hit counter stay per session. The inner level keys on
 //! the raw denotations (which are deterministic per query pair — every
 //! instance denotes over a fresh `VarGen`) and catches distinct query
 //! texts with equal denotations. The recorded answer is the full
@@ -29,7 +33,7 @@ use hottsql::ast::Query;
 use relalg::Schema;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use uninomial::normalize::{normalize, Trace};
 use uninomial::syntax::intern::{Interner, UExprId};
 use uninomial::UExpr;
@@ -60,9 +64,10 @@ fn query_key(inst: &RuleInstance) -> QueryKey {
 /// session's goal memo.
 ///
 /// The query-level memo is the hot-path layer: a repeated goal is
-/// answered before any denotation or type inference runs. The
-/// denotation-level memo stays underneath it to catch distinct query
-/// texts that denote to the same trees.
+/// answered before any denotation or type inference runs, and
+/// [`ProveSession::sibling`]s share it. The denotation-level memo stays
+/// underneath it to catch distinct query texts that denote to the same
+/// trees.
 #[derive(Debug)]
 pub struct ProveSession {
     /// The saturation session the goal-closing searches run on.
@@ -73,7 +78,8 @@ pub struct ProveSession {
     opts: ProveOptions,
     interner: Interner,
     verdicts: HashMap<(UExprId, UExprId), Verdict>,
-    query_verdicts: HashMap<QueryKey, Verdict>,
+    /// The query-level memo, shared with every sibling session.
+    query_verdicts: Arc<Mutex<HashMap<QueryKey, Verdict>>>,
     hits: usize,
     publish: Option<Arc<AtomicUsize>>,
 }
@@ -87,9 +93,19 @@ impl ProveSession {
             opts,
             interner: Interner::new(),
             verdicts: HashMap::new(),
-            query_verdicts: HashMap::new(),
+            query_verdicts: Arc::default(),
             hits: 0,
             publish: None,
+        }
+    }
+
+    /// A session at this one's options that shares its query-level
+    /// memo, with every other part fresh: the denotation-level memo and
+    /// its interner, the goal memo and the hit counter.
+    pub fn sibling(&self) -> ProveSession {
+        ProveSession {
+            query_verdicts: Arc::clone(&self.query_verdicts),
+            ..ProveSession::new(self.opts)
         }
     }
 
@@ -150,7 +166,13 @@ impl ProveSession {
         if opts != self.opts || !inst.axioms.is_empty() {
             return None;
         }
-        let hit = self.query_verdicts.get(&query_key(inst)).cloned();
+        let key = query_key(inst);
+        let hit = self
+            .query_verdicts
+            .lock()
+            .expect("verdict memo lock")
+            .get(&key)
+            .cloned();
         if hit.is_some() {
             self.hits += 1;
             if let Some(sink) = &self.publish {
@@ -167,7 +189,11 @@ impl ProveSession {
         if opts != self.opts || !inst.axioms.is_empty() {
             return;
         }
-        self.query_verdicts.insert(query_key(inst), verdict);
+        let key = query_key(inst);
+        self.query_verdicts
+            .lock()
+            .expect("verdict memo lock")
+            .insert(key, verdict);
     }
 }
 
@@ -261,6 +287,22 @@ mod tests {
             s.record_query(&inst, opts, Ok((VerifyMethod::Saturation, 1, vec![])));
             assert!(s.lookup_query(&inst, opts).is_none());
         }
+    }
+
+    #[test]
+    fn siblings_share_the_query_level_memo_only() {
+        let opts = ProveOptions::default();
+        let mut a = ProveSession::new(opts);
+        let mut b = a.sibling();
+        let inst = catalog::sound_rules()[0].generic();
+        a.record_query(&inst, opts, Ok((VerifyMethod::Saturation, 7, vec![])));
+        let hit = b.lookup_query(&inst, opts).expect("shared");
+        assert_eq!(hit.unwrap().1, 7);
+        assert_eq!((a.verdict_hits(), b.verdict_hits()), (0, 1));
+        // The denotation-level memo is the session's own.
+        let el = UExpr::rel("R", uninomial::syntax::Term::Unit);
+        a.record(&el, &el, opts, Ok((VerifyMethod::CqDecision, 1, vec![])));
+        assert!(b.lookup(&el, &el, opts).is_none());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end acceptance of `dopcert serve`: concurrent clients over
 //! real TCP, answers bit-identical to a fresh single-shot run of the
 //! same request, per-request error handling, per-tenant budget
-//! admission, and a nonzero memo hit-rate on repetition-heavy traffic.
+//! admission, a nonzero memo hit-rate on repetition-heavy traffic, and
+//! cheap requests answered while a slow one holds a worker.
 
 use dopcert::api::{execute, Request, RequestOptions};
 use dopcert::serve::{request_once, ServeConfig, Server};
@@ -317,6 +318,96 @@ fn hostile_nesting_and_retired_options_leave_the_daemon_answering() {
             assert_eq!(with, plain, "{field}: {flag}");
         }
     }
+    server.shutdown();
+    server.wait();
+}
+
+/// The value of gauge `name` in a `metrics` exposition.
+fn gauge(server: &Server, name: &str) -> u64 {
+    let text = server.metrics_text();
+    let prefix = format!("dopcert_serve_{name} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} gauge in:\n{text}"))
+}
+
+#[test]
+fn a_cheap_request_is_not_queued_behind_a_slow_one() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let cheap: Vec<String> = (0..8)
+        .map(|k| {
+            format!("table T{k}(int);\nverify (T{k} UNION ALL T{k}) == (T{k} UNION ALL T{k});")
+        })
+        .collect();
+    let expected: Vec<Vec<String>> = cheap.iter().map(|s| baseline(s)).collect();
+
+    // Client A: optimize a 20-deep `SELECT * FROM (…)` chain, which holds
+    // one worker for 0.5–0.9 s, over 100 times as long as all of client
+    // B's checks together.
+    let chain = (0..20).fold("R".to_owned(), |q, _| format!("SELECT * FROM ({q})"));
+    let slow = Request::Optimize {
+        script: format!("table R(int);\nverify {chain} == R;"),
+        opts: RequestOptions::default(),
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let client_a = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let reply = request_once(&addr, &Json::Null, "default", &slow).expect("request");
+            done_tx.send(()).expect("test thread waits");
+            reply
+        })
+    };
+    let started = std::time::Instant::now();
+    while gauge(&server, "in_flight") == 0 {
+        assert!(
+            started.elapsed().as_secs() < 60,
+            "the slow request never started"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    // Client B: 8 distinct one-goal checks while A's request runs. Each
+    // is answered by the idle worker, before A's reply.
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    for (k, script) in cheap.iter().enumerate() {
+        let line = encode_request(
+            &Json::Num(k as f64),
+            "default",
+            &Request::Prove {
+                script: script.clone(),
+                opts: RequestOptions::default(),
+            },
+        );
+        // One write per request: a second small write would wait out
+        // the daemon's delayed acknowledgement of the first.
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        let reply = decode_response(reply.trim()).expect("decode");
+        assert_eq!(reply.lines, expected[k]);
+        assert!(
+            done_rx.try_recv().is_err(),
+            "check {k} was answered after the slow request"
+        );
+    }
+    assert_eq!(
+        (gauge(&server, "in_flight"), gauge(&server, "queued")),
+        (1, 0)
+    );
+
+    let reply = client_a.join().expect("client A");
+    assert!(reply.ok, "{reply:?}");
+    assert_eq!(
+        (gauge(&server, "in_flight"), gauge(&server, "queued")),
+        (0, 0)
+    );
     server.shutdown();
     server.wait();
 }

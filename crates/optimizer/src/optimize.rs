@@ -197,8 +197,8 @@ impl<'a> PlanCtx<'a> {
 /// Repeated queries are answered from the session's plan memo,
 /// byte-identical by determinism of the pipeline. Memoized reports are
 /// only valid under the exact configuration they were computed with;
-/// rebinding a session under a different one clears its memo rather
-/// than replaying stale costs.
+/// a lookup under a different one clears the memo rather than
+/// replaying stale costs.
 ///
 /// # Errors
 ///
@@ -231,14 +231,14 @@ pub fn optimize(
         }
         None => String::new(),
     };
-    session.bind_config(format!("{env:?}|{stats:?}|{opts:?}{mined_fp}"));
-    if let Some(report) = session.lookup_plan(q) {
+    let config = format!("{env:?}|{stats:?}|{opts:?}{mined_fp}");
+    if let Some(report) = session.lookup_plan(&config, q) {
         telemetry::count("memo.plan.hit", 1);
         return Ok(report);
     }
     telemetry::count("memo.plan.miss", 1);
     let report = optimize_query_impl(q, env, stats, opts, session.budget, mined)?;
-    session.record_plan(q, &report);
+    session.record_plan(&config, q, &report);
     Ok(report)
 }
 
