@@ -20,7 +20,7 @@
 //! only. The counts are reproducible on one CPU (`taskset -c 0`): with
 //! more workers each one's private memo misses every distinct goal.
 
-use dopcert::engine::{Engine, EngineConfig};
+use dopcert::engine::Engine;
 use dopcert::prove::{ProveOptions, SaturateMode};
 use dopcert::wire::{parse_json, Json};
 use egraph::{Budget, Outcome, Solver};
@@ -372,13 +372,13 @@ fn main() -> ExitCode {
         telemetry::enable_tracing();
         telemetry::enable_profiling();
         let rules = dopcert::catalog::sound_rules();
-        let engine = Engine::with_config(EngineConfig {
+        let engine = Engine {
             prove: ProveOptions {
                 saturate: SaturateMode::Only,
                 ..ProveOptions::default()
             },
-            ..EngineConfig::with_threads(1)
-        });
+            ..Engine::with_threads(1)
+        };
         let reports = engine.prove_catalog(&rules);
         assert!(reports.iter().all(|r| r.proved), "catalog must prove");
         let events = telemetry::take_trace();

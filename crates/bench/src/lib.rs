@@ -238,7 +238,11 @@ pub fn baseline_equivalence_times(n: u64) -> (Duration, Duration) {
 /// Proves the Fig. 8 sound catalog with explicit verification options
 /// (the `saturation_vs_tactics` comparison entry point).
 pub fn fig8_reports_with(opts: dopcert::prove::ProveOptions) -> Vec<RuleReport> {
-    Engine::with_prove_options(opts).prove_catalog(&dopcert::catalog::sound_rules())
+    Engine {
+        prove: opts,
+        ..Engine::new()
+    }
+    .prove_catalog(&dopcert::catalog::sound_rules())
 }
 
 /// Decides a seeded batch of equivalent-by-construction CQ pairs with
@@ -309,13 +313,13 @@ pub fn optimize_corpus(
     queries: &[hottsql::ast::Query],
     budget: egraph::Budget,
 ) -> OptimizeSummary {
-    let engine = Engine::with_config(dopcert::engine::EngineConfig {
+    let engine = Engine {
         prove: dopcert::prove::ProveOptions {
             budget,
             ..Default::default()
         },
-        ..Default::default()
-    });
+        ..Engine::new()
+    };
     let stats = relalg::stats::Statistics::new();
     let mut summary = OptimizeSummary::default();
     for report in engine.optimize_batch(env, &stats, queries) {

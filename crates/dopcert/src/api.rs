@@ -5,10 +5,10 @@
 //! CLI subcommands, the `.dop` script runner, the batch engine, and the
 //! `dopcert serve` daemon — routes through it:
 //!
-//! - [`Prover`] / [`Planner`] own the per-worker state (one persistent
-//!   session each) and expose *one* method each: a
-//!   new value is fresh state, a kept one is resident state, and both
-//!   run the same pipeline.
+//! - [`Workspace`] is the one per-worker state: a prove session and a
+//!   plan session, with one method per capability. A new workspace is
+//!   fresh state, a kept one is resident state, and both run the same
+//!   pipeline.
 //! - [`Request`] / [`Response`] are the typed request values every
 //!   front end routes through: the CLI builds a `Request` from its
 //!   flags, the script runner from a parsed [`Script`], and the
@@ -25,17 +25,18 @@
 //! "daemon answers bit-identical to the single-shot CLI" is a property
 //! of shared code, not of two renderers kept manually in sync.
 
-use crate::prove::{ProveOptions, RuleReport, SaturateMode, VerifyMethod};
+use crate::engine::Engine;
+use crate::prove::{ProveOptions, RuleReport, SaturateMode};
 use crate::rule::{Rule, RuleInstance};
 use crate::script::{parse_script, GoalOutcome, Script};
-use crate::session::ProveSession;
+use crate::session::{ProveSession, Verdict};
 use egraph::solve::Budget;
 use hottsql::ast::Query;
 use hottsql::env::QueryEnv;
 use optimizer::{OptimizeError, OptimizeOptions, OptimizeReport, PlanCtx, PlanSession};
 use relalg::stats::Statistics;
 use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Partial saturation budget: the three knobs, each optionally
 /// overridden. This is THE parse/validate point for budgets — CLI
@@ -150,14 +151,12 @@ impl RequestOptions {
     }
 
     /// The batch engine these options describe.
-    pub fn engine(&self, script_budget: BudgetSpec) -> crate::engine::Engine {
-        let mut config = match self.jobs {
-            Some(n) => crate::engine::EngineConfig::with_threads(n),
-            None => crate::engine::EngineConfig::default(),
-        };
-        config.prove = self.prove_options(script_budget);
-        config.mined = self.mined_rules.then(default_mined_catalog);
-        crate::engine::Engine::with_config(config)
+    pub fn engine(&self, script_budget: BudgetSpec) -> Engine {
+        Engine {
+            prove: self.prove_options(script_budget),
+            mined: self.mined_rules.then(default_mined_catalog),
+            ..self.jobs.map_or_else(Engine::new, Engine::with_threads)
+        }
     }
 }
 
@@ -220,6 +219,25 @@ pub enum Request {
     Trace,
     /// Graceful daemon shutdown (`dopcert serve` only).
     Shutdown,
+}
+
+impl Request {
+    /// The request's command name: its `cmd` on the wire and its label
+    /// in the daemon's latency metrics.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Request::Prove { .. } => "prove",
+            Request::Optimize { .. } => "optimize",
+            Request::Catalog { .. } => "catalog",
+            Request::Discover { .. } => "discover",
+            Request::Mine { .. } => "mine",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Profile => "profile",
+            Request::Trace => "trace",
+            Request::Shutdown => "shutdown",
+        }
+    }
 }
 
 /// One goal's result, rendered for the wire but keeping the verdict
@@ -643,36 +661,68 @@ fn render_discoveries(found: &[Discovery]) -> Vec<String> {
     lines
 }
 
-/// Per-worker proving state: one persistent [`ProveSession`], kept
-/// across calls.
+/// One worker's state: a [`ProveSession`] and a [`PlanSession`] bound to
+/// one set of [`ProveOptions`], plus the mined catalog that `mined-rules`
+/// optimize requests search with. A new workspace is fresh state, a kept
+/// one is resident state, and both run the same pipeline: answers are
+/// byte-identical either way (the session-identity guarantee, asserted by
+/// `tests/session.rs` and `tests/serve.rs`).
+///
+/// The batch [`Engine`] builds one private workspace per worker. A
+/// `dopcert serve` daemon's workers hold [`Workspace::sibling`]s of one
+/// workspace, which share its query-level verdict memo, its plan memo
+/// and its mined catalog.
+///
+/// [`Workspace::execute`] answers a request whose *effective options
+/// differ* from the workspace's on fresh state ([`execute`]): a session
+/// only answers under the exact options it was built with, so routing,
+/// say, a tighter-budget request through it would either bypass every
+/// memo or (worse) close goals under the wrong budget.
 #[derive(Debug)]
-pub struct Prover {
-    pub(crate) session: ProveSession,
-    pub(crate) opts: ProveOptions,
+pub struct Workspace {
+    pub(crate) prove: ProveSession,
+    plan: PlanSession,
+    /// The catalog the last `mine` request produced, shared with every
+    /// sibling. Until one runs, `mined-rules` requests search with the
+    /// process-wide default catalog.
+    mined: Arc<Mutex<Option<Arc<Vec<egraph::MinedRule>>>>>,
 }
 
-impl Prover {
-    /// A prover on fresh state.
-    pub fn new(opts: ProveOptions) -> Prover {
-        Prover {
-            session: ProveSession::new(opts),
-            opts,
+impl Workspace {
+    /// A workspace resident at these default options.
+    pub fn new(defaults: RequestOptions) -> Workspace {
+        Workspace::with_options(defaults.prove_options(BudgetSpec::default()))
+    }
+
+    /// A workspace on fresh state under resolved verification options.
+    pub fn with_options(opts: ProveOptions) -> Workspace {
+        Workspace {
+            prove: ProveSession::new(opts),
+            plan: PlanSession::new(opts.budget),
+            mined: Arc::default(),
         }
     }
 
-    /// Routes the session's live memo-hit count into `sink` (stored on
-    /// every subsequent hit): the serve daemon polls the sink so a
-    /// long-running request shows memo progress before it finishes.
-    pub fn publish_hits_to(&mut self, sink: Arc<AtomicUsize>) {
-        self.session.publish_hits_to(sink);
+    /// A workspace at this one's options that shares its query-level
+    /// verdict memo, its plan memo and its mined catalog: a repeat is a
+    /// hit on either memo, and a `mine` request on one sets the catalog
+    /// of all. Everything else starts fresh and stays its own: the
+    /// denotation-level memo and its interner, the saturation goal memo
+    /// and the hit counters.
+    pub fn sibling(&self) -> Workspace {
+        Workspace {
+            prove: self.prove.sibling(),
+            plan: self.plan.sibling(),
+            mined: Arc::clone(&self.mined),
+        }
     }
 
     /// Verifies a rule. Verdict, method, and step count are identical
-    /// whether the prover's state is fresh or warm (the session-identity
+    /// whether the workspace is fresh or warm (the session-identity
     /// guarantee); only wall-clock differs.
     pub fn prove_rule(&mut self, rule: &Rule) -> RuleReport {
         let _span = telemetry::span("prove.rule");
-        crate::prove::prove_rule_on(rule, &mut self.session, self.opts)
+        crate::prove::prove_rule_on(rule, &mut self.prove)
     }
 
     /// Verifies one denoted instance (the engine's pair path).
@@ -680,60 +730,20 @@ impl Prover {
     /// # Errors
     ///
     /// Returns the diagnostics and attempted-method list on failure.
-    #[allow(clippy::type_complexity)] // the verify_instance result shape
-    pub fn verify_instance(
-        &mut self,
-        inst: &RuleInstance,
-    ) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
+    pub fn verify_instance(&mut self, inst: &RuleInstance) -> Verdict {
         let _span = telemetry::span("prove.goal");
-        crate::prove::verify_instance(inst, &mut self.session, self.opts)
+        crate::prove::verify_instance(inst, &mut self.prove)
     }
 
-    /// Runs a parsed script's goals on this prover's state.
+    /// Runs a parsed script's goals on this workspace's state.
     pub fn run_script(&mut self, script: &Script) -> Vec<GoalOutcome> {
         crate::script::run_script_in(script, self)
     }
 
-    /// Goals answered from the session's verdict memo so far.
-    pub fn memo_hits(&self) -> usize {
-        self.session.verdict_hits()
-    }
-}
-
-/// One-shot rule verification on fresh state.
-pub fn prove_rule(rule: &Rule) -> RuleReport {
-    Prover::new(ProveOptions::default()).prove_rule(rule)
-}
-
-/// Per-worker planning state: one persistent [`PlanSession`], kept
-/// across calls.
-#[derive(Debug)]
-pub struct Planner {
-    session: PlanSession,
-    budget: Budget,
-    mined: Option<Arc<Vec<egraph::MinedRule>>>,
-}
-
-impl Planner {
-    /// A planner on fresh state.
-    pub fn new(opts: ProveOptions) -> Planner {
-        Planner {
-            session: PlanSession::new(opts.budget),
-            budget: opts.budget,
-            mined: None,
-        }
-    }
-
-    /// Sets (or clears) the mined-rule catalog the plan search uses.
-    /// `None` restores the default search, bit-identical to a planner
-    /// that never saw mined rules; memo isolation across catalog
-    /// changes is handled by the session's configuration fingerprint.
-    pub fn set_mined_rules(&mut self, mined: Option<Arc<Vec<egraph::MinedRule>>>) {
-        self.mined = mined;
-    }
-
-    /// Optimizes one query on this planner's state. Reports are
-    /// identical whether that state is fresh or warm.
+    /// Optimizes one query on this workspace's plan memo, searching with
+    /// `mined` rewrite rules when given. Reports are identical whether
+    /// the memo is fresh or warm; the memo keys its plans by catalog, so
+    /// `None` is bit-identical to a workspace that never saw mined rules.
     ///
     /// # Errors
     ///
@@ -744,28 +754,74 @@ impl Planner {
         q: &Query,
         env: &QueryEnv,
         stats: &Statistics,
+        mined: Option<&Arc<Vec<egraph::MinedRule>>>,
     ) -> Result<OptimizeReport, OptimizeError> {
-        optimizer::optimize(
-            q,
-            env,
-            stats,
-            OptimizeOptions {
-                budget: self.budget,
-            },
-            PlanCtx::session(&mut self.session).with_mined(self.mined.as_ref()),
-        )
+        let opts = OptimizeOptions {
+            budget: self.plan.budget(),
+        };
+        let ctx = PlanCtx::session(&mut self.plan).with_mined(mined);
+        optimizer::optimize(q, env, stats, opts, ctx)
     }
 
-    /// Queries answered from the session's plan memo so far.
+    /// Total memo hits across the two sessions.
     pub fn memo_hits(&self) -> usize {
-        self.session.plan_hits()
+        self.prove.verdict_hits() + self.plan.plan_hits()
     }
 
-    /// Routes the session's live plan-memo hit count into `sink` (see
-    /// [`Prover::publish_hits_to`]).
-    pub fn publish_hits_to(&mut self, sink: Arc<AtomicUsize>) {
-        self.session.publish_hits_to(sink);
+    /// The live hit counters of the verdict memo and the plan memo: the
+    /// sessions add to them on every hit, so a clone taken once reads
+    /// this workspace's hits from another thread, mid-request.
+    pub fn hit_counters(&self) -> [Arc<AtomicUsize>; 2] {
+        [self.prove.hit_counter(), self.plan.hit_counter()]
     }
+
+    /// The catalog `mined-rules` requests search with: the one the last
+    /// `mine` request produced, the process-wide default otherwise.
+    fn mined_catalog(&self) -> Arc<Vec<egraph::MinedRule>> {
+        let mined = self.mined.lock().expect("mined catalog lock").clone();
+        mined.unwrap_or_else(default_mined_catalog)
+    }
+
+    /// Answers a request on the resident state where the effective
+    /// options allow it, on fresh state otherwise (see type docs).
+    pub fn execute(&mut self, req: &Request) -> Response {
+        match req {
+            Request::Prove { script, opts } => {
+                let script = match parse_script(script) {
+                    Ok(s) => s,
+                    Err(e) => return Response::Error(e.to_string()),
+                };
+                if opts.prove_options(script.budget) != self.prove.options() {
+                    return execute(req);
+                }
+                goals_response(&script, self.run_script(&script))
+            }
+            Request::Optimize { script, opts } => {
+                let script = match parse_script(script) {
+                    Ok(s) => s,
+                    Err(e) => return Response::Error(e.to_string()),
+                };
+                if opts.prove_options(script.budget).budget != self.plan.budget() {
+                    return execute(req);
+                }
+                optimize_script(&script, opts, Some(self))
+            }
+            Request::Mine { seed, count } => {
+                let (summary, rules) = run_mine(*seed, *count);
+                *self.mined.lock().expect("mined catalog lock") = Some(rules);
+                Response::Mined(summary)
+            }
+            // Catalog/discovery runs are engine-shaped (their own
+            // worker pool); resident state would buy nothing, so they
+            // always run fresh.
+            _ => execute(req),
+        }
+    }
+}
+
+/// One-shot rule verification on fresh state.
+pub fn prove_rule(rule: &Rule) -> RuleReport {
+    Workspace::with_options(ProveOptions::default()).prove_rule(rule)
 }
 
 /// Runs the mining loop and packages the result for the wire, returning
@@ -821,9 +877,8 @@ pub fn execute(req: &Request) -> Response {
                 Ok(s) => s,
                 Err(e) => return Response::Error(e.to_string()),
             };
-            let popts = opts.prove_options(script.budget);
-            let mut prover = Prover::new(popts);
-            goals_response(&script, prover.run_script(&script))
+            let mut ws = Workspace::with_options(opts.prove_options(script.budget));
+            goals_response(&script, ws.run_script(&script))
         }
         Request::Optimize { script, opts } => {
             let script = match parse_script(script) {
@@ -858,130 +913,6 @@ pub fn execute(req: &Request) -> Response {
     }
 }
 
-/// Resident per-worker state for the serve daemon: one [`Prover`] and
-/// one [`Planner`], built once at the server's default options and
-/// kept across requests so repeated goals hit the memos. The daemon's
-/// workers hold [`Workspace::sibling`]s of one workspace, so they share
-/// its query-level verdict memo and its plan memo.
-///
-/// Responses are byte-identical to [`execute`] on fresh state: session
-/// memos replay recorded verdicts/plans of a deterministic pipeline
-/// (the session-identity guarantee, asserted by `tests/serve.rs`).
-/// Requests whose *effective options differ* from the server defaults
-/// fall back to fresh [`execute`] — a session only answers under the
-/// exact options it was built with, so routing, say, a tighter-budget
-/// request through it would either bypass every memo or (worse) close
-/// goals under the wrong budget.
-#[derive(Debug)]
-pub struct Workspace {
-    prover: Prover,
-    planner: Planner,
-    /// The resident mined catalog: set by `mine` requests (directly or
-    /// via [`Workspace::set_mined_catalog`] when the daemon shares one
-    /// catalog across workers), consulted by `optimize` requests with
-    /// `mined-rules` on. `None` falls back to the process-wide default
-    /// catalog on demand.
-    mined: Option<Arc<Vec<egraph::MinedRule>>>,
-}
-
-impl Workspace {
-    /// A workspace resident at these default options.
-    pub fn new(defaults: RequestOptions) -> Workspace {
-        let popts = defaults.prove_options(BudgetSpec::default());
-        Workspace {
-            prover: Prover::new(popts),
-            planner: Planner::new(popts),
-            mined: None,
-        }
-    }
-
-    /// A workspace at this one's options that shares its two outer
-    /// memos, the query-level verdict memo and the plan memo: a repeat
-    /// is a hit on either. Everything else starts fresh and stays its
-    /// own: the denotation-level memo and its interner, the saturation
-    /// goal memo, the hit counters and the mined catalog.
-    pub fn sibling(&self) -> Workspace {
-        Workspace {
-            prover: Prover {
-                session: self.prover.session.sibling(),
-                opts: self.prover.opts,
-            },
-            planner: Planner {
-                session: self.planner.session.sibling(),
-                budget: self.planner.budget,
-                mined: None,
-            },
-            mined: None,
-        }
-    }
-
-    /// Installs a mined catalog (the daemon broadcasts the outcome of a
-    /// `mine` request to every worker's workspace through this).
-    pub fn set_mined_catalog(&mut self, rules: Arc<Vec<egraph::MinedRule>>) {
-        self.mined = Some(rules);
-    }
-
-    /// The catalog `mined-rules` requests search with: the resident one
-    /// when a mining run installed it, the process-wide default
-    /// otherwise.
-    pub fn mined_catalog(&self) -> Arc<Vec<egraph::MinedRule>> {
-        self.mined.clone().unwrap_or_else(default_mined_catalog)
-    }
-
-    /// Total memo hits across the resident sessions.
-    pub fn memo_hits(&self) -> usize {
-        self.prover.memo_hits() + self.planner.memo_hits()
-    }
-
-    /// Routes both resident sessions' live memo-hit counts into per-kind
-    /// sinks; the daemon sums them for the per-worker `stats` breakdown.
-    pub fn publish_memo_hits(&mut self, prover: Arc<AtomicUsize>, planner: Arc<AtomicUsize>) {
-        self.prover.publish_hits_to(prover);
-        self.planner.publish_hits_to(planner);
-    }
-
-    /// Answers a request on the resident state where the effective
-    /// options allow it, on fresh state otherwise (see type docs).
-    pub fn execute(&mut self, req: &Request) -> Response {
-        match req {
-            Request::Prove { script, opts } => {
-                let script = match parse_script(script) {
-                    Ok(s) => s,
-                    Err(e) => return Response::Error(e.to_string()),
-                };
-                if opts.prove_options(script.budget) != self.prover.opts {
-                    return execute(req);
-                }
-                goals_response(&script, self.prover.run_script(&script))
-            }
-            Request::Optimize { script, opts } => {
-                let script = match parse_script(script) {
-                    Ok(s) => s,
-                    Err(e) => return Response::Error(e.to_string()),
-                };
-                if opts.prove_options(script.budget).budget != self.planner.budget {
-                    return execute(req);
-                }
-                // The mined catalog is per-request: flag on searches with
-                // the resident catalog, flag off restores the default
-                // search (memo isolation via the session fingerprint).
-                let mined = opts.mined_rules.then(|| self.mined_catalog());
-                self.planner.set_mined_rules(mined);
-                optimize_script(&script, opts, Some(&mut self.planner))
-            }
-            Request::Mine { seed, count } => {
-                let (summary, rules) = run_mine(*seed, *count);
-                self.mined = Some(rules);
-                Response::Mined(summary)
-            }
-            // Catalog/discovery runs are engine-shaped (their own
-            // worker pool); resident state would buy nothing, so they
-            // always run fresh.
-            _ => execute(req),
-        }
-    }
-}
-
 /// Zips a script's goals with their outcomes into a response.
 fn goals_response(script: &Script, outcomes: Vec<GoalOutcome>) -> Response {
     Response::Goals(
@@ -1001,14 +932,14 @@ fn goals_response(script: &Script, outcomes: Vec<GoalOutcome>) -> Response {
 
 /// The optimize pipeline over a parsed script: every distinct goal
 /// query in first-seen order, through the batch engine (fresh path) or
-/// a resident [`Planner`] (serve path). Both paths build each report
+/// a resident [`Workspace`] (serve path). Both paths build each report
 /// with [`PlanReport::new`], so each plan is gated on its certificate
 /// replaying; on the engine path that replay runs on the worker that
 /// optimized the query, in the same parallel pass.
 fn optimize_script(
     script: &Script,
     opts: &RequestOptions,
-    resident: Option<&mut Planner>,
+    resident: Option<&mut Workspace>,
 ) -> Response {
     let mut queries: Vec<Query> = Vec::new();
     for goal in &script.goals {
@@ -1024,10 +955,14 @@ fn optimize_script(
     let budget = opts.prove_options(script.budget).budget;
     let finish = |q: &Query, report| PlanReport::new(q, report, &script.env, budget);
     Response::Plans(match resident {
-        Some(planner) => queries
-            .iter()
-            .map(|q| finish(q, planner.optimize(q, &script.env, &script.stats)))
-            .collect(),
+        Some(ws) => {
+            let mined = opts.mined_rules.then(|| ws.mined_catalog());
+            let (env, stats) = (&script.env, &script.stats);
+            queries
+                .iter()
+                .map(|q| finish(q, ws.optimize(q, env, stats, mined.as_ref())))
+                .collect()
+        }
         None => opts.engine(script.budget).optimize_batch_with(
             &script.env,
             &script.stats,
@@ -1169,6 +1104,58 @@ mod tests {
             assert_eq!(resp.render(), execute(&req).render());
         }
         assert_eq!(a.memo_hits(), 0, "A only recorded");
+    }
+
+    #[test]
+    fn a_sibling_optimizes_with_the_catalog_its_root_mined() {
+        let mut root = Workspace::new(RequestOptions::default());
+        let mut sibling = root.sibling();
+        // Three rules, where the default catalog has sixteen: the plan
+        // memo's fingerprint names the catalog, so only a sibling
+        // searching with the root's catalog can hit the root's plan.
+        let mine = Request::Mine {
+            seed: mine::MineConfig::default().seed,
+            count: 3,
+        };
+        assert!(root.execute(&mine).ok());
+        let optimize = Request::Optimize {
+            script: "table R(int);\nverify (R UNION ALL R) == (R UNION ALL R);".into(),
+            opts: RequestOptions {
+                mined_rules: true,
+                ..RequestOptions::default()
+            },
+        };
+        let resp = root.execute(&optimize);
+        assert!(resp.ok(), "{:?}", resp.render());
+        assert_eq!(sibling.execute(&optimize).render(), resp.render());
+        assert_eq!(sibling.memo_hits(), 1, "the root's plan, under its catalog");
+        assert_eq!(sibling.mined_catalog().len(), 3);
+    }
+
+    #[test]
+    fn a_cloned_hit_counter_reads_a_repeats_hits() {
+        let opts = RequestOptions::default();
+        let prove = Request::Prove {
+            script: "table R(int);\ntable S(int);\n\
+                     verify (R UNION ALL S) == (S UNION ALL R);\n\
+                     refute S == (S UNION ALL S);"
+                .into(),
+            opts,
+        };
+        let optimize = Request::Optimize {
+            script: "table R(int);\nverify (R UNION ALL R) == (R UNION ALL R);".into(),
+            opts,
+        };
+        let mut ws = Workspace::new(opts);
+        let [verdicts, plans] = ws.hit_counters();
+        for req in [&prove, &prove, &optimize, &optimize] {
+            ws.execute(req);
+        }
+        // Two goals, then one distinct query, answered from the memos
+        // on their repeats.
+        assert_eq!(verdicts.load(std::sync::atomic::Ordering::Relaxed), 2);
+        assert_eq!(plans.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(ws.memo_hits(), 3);
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! work-stealing is a simple shared atomic cursor — ideal for this
 //! catalog-shaped workload of few, coarse, unevenly-sized tasks).
 //!
-//! Each worker builds ONE state value and keeps it for every item it
-//! claims: an [`api::Prover`](crate::api::Prover) for proving, an
-//! [`api::Planner`](crate::api::Planner) for optimizing. That state is a
-//! persistent session: a prover memoizes verdicts and saturation goals,
-//! a planner finished plans, across the worker's items. Normalization
-//! keeps no state, so nothing else is carried. Answers are
-//! byte-identical to proving each item on fresh state, by
-//! construction.
+//! Each worker builds ONE private [`Workspace`] and keeps it for every
+//! item it claims. The workspace's sessions persist across the worker's
+//! items: its prove session memoizes verdicts and saturation goals, its
+//! plan session finished plans. Normalization keeps no state, so nothing
+//! else is carried. Answers are byte-identical to proving each item on
+//! fresh state, by construction. The workspaces are not siblings: no
+//! memo is shared between workers, so memo counts do not depend on
+//! which worker claimed which item.
 //!
 //! A work item is the whole job for its input:
 //! [`Engine::optimize_batch_with`] runs a caller's `finish` step on the
@@ -34,7 +34,7 @@
 //!
 //! [`VarGen`]: uninomial::VarGen
 
-use crate::api::{Planner, Prover};
+use crate::api::Workspace;
 use crate::difftest::{differential_test, DiffOutcome};
 use crate::prove::{ProveOptions, RuleReport, VerifyMethod};
 use crate::rule::{Rule, RuleInstance};
@@ -46,12 +46,14 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Tuning for the batch engine.
+/// The batch proving engine: a worker count and the options every
+/// worker's [`Workspace`] runs under. Construction is cheap; every batch
+/// builds its worker states afresh.
 #[derive(Clone, Debug)]
-pub struct EngineConfig {
+pub struct Engine {
     /// Worker threads. Defaults to the machine's available parallelism.
     pub threads: NonZeroUsize,
-    /// Verification options for every rule: by default the tactics run
+    /// Verification options for every item: by default the tactics run
     /// first and equality saturation is the fallback when they fail,
     /// reported as the distinct [`crate::prove::VerifyMethod::Saturation`].
     pub prove: ProveOptions,
@@ -61,32 +63,15 @@ pub struct EngineConfig {
     pub mined: Option<Arc<Vec<egraph::MinedRule>>>,
 }
 
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
+impl Default for Engine {
+    fn default() -> Engine {
+        Engine {
             threads: std::thread::available_parallelism()
                 .unwrap_or(NonZeroUsize::new(1).expect("1 is nonzero")),
             prove: ProveOptions::default(),
             mined: None,
         }
     }
-}
-
-impl EngineConfig {
-    /// A config with an explicit worker count.
-    pub fn with_threads(threads: usize) -> EngineConfig {
-        EngineConfig {
-            threads: NonZeroUsize::new(threads.max(1)).expect("clamped to >= 1"),
-            ..EngineConfig::default()
-        }
-    }
-}
-
-/// The batch proving engine. Construction is cheap; every batch builds
-/// its worker states afresh.
-#[derive(Clone, Debug, Default)]
-pub struct Engine {
-    config: EngineConfig,
 }
 
 /// Outcome of one goal in a [`Engine::prove_pairs`] batch.
@@ -106,42 +91,27 @@ impl Engine {
         Engine::default()
     }
 
-    /// An engine with an explicit configuration.
-    pub fn with_config(config: EngineConfig) -> Engine {
-        Engine { config }
-    }
-
     /// An engine with an explicit worker count.
     pub fn with_threads(threads: usize) -> Engine {
-        Engine::with_config(EngineConfig::with_threads(threads))
-    }
-
-    /// An engine with explicit verification options (all cores).
-    pub fn with_prove_options(prove: ProveOptions) -> Engine {
-        Engine::with_config(EngineConfig {
-            prove,
-            ..EngineConfig::default()
-        })
+        Engine {
+            threads: NonZeroUsize::new(threads.max(1)).expect("clamped to >= 1"),
+            ..Engine::default()
+        }
     }
 
     /// The configured worker count.
     pub fn threads(&self) -> usize {
-        self.config.threads.get()
+        self.threads.get()
     }
 
     /// Proves every rule of the catalog in parallel, returning reports
     /// in catalog order. Verdicts, methods, and step counts are
     /// identical to running [`crate::api::prove_rule`] sequentially.
-    /// Each worker is one [`crate::api::Prover`] for its whole shard —
-    /// its persistent session with memoized verdicts — with answers
+    /// Each worker keeps one [`Workspace`] for its whole shard — its
+    /// persistent session with memoized verdicts — with answers
     /// byte-identical to proving each rule on fresh state.
     pub fn prove_catalog(&self, rules: &[Rule]) -> Vec<RuleReport> {
-        let opts = self.config.prove;
-        self.par_map(
-            rules,
-            || Prover::new(opts),
-            |rule, prover| prover.prove_rule(rule),
-        )
+        self.par_map(rules, |rule, ws| ws.prove_rule(rule))
     }
 
     /// Differentially tests every rule in parallel (`trials` random
@@ -152,17 +122,13 @@ impl Engine {
         trials: usize,
         base_seed: u64,
     ) -> Vec<(String, DiffOutcome)> {
-        // Difftest evaluates concrete instances: no per-worker state.
-        self.par_map(
-            rules,
-            || (),
-            |rule, _state| {
-                (
-                    rule.name.to_owned(),
-                    differential_test(rule, trials, base_seed),
-                )
-            },
-        )
+        // Difftest evaluates concrete instances: the workspace idles.
+        self.par_map(rules, |rule, _| {
+            (
+                rule.name.to_owned(),
+                differential_test(rule, trials, base_seed),
+            )
+        })
     }
 
     /// The full catalog check the CLI runs: each rule passes when the
@@ -171,24 +137,19 @@ impl Engine {
     /// differential testing refuting it with a concrete counterexample.
     /// Returns `(name, passed)` in catalog order.
     pub fn check_catalog(&self, rules: &[Rule]) -> Vec<(String, bool)> {
-        let opts = self.config.prove;
-        self.par_map(
-            rules,
-            || Prover::new(opts),
-            |rule, prover| {
-                let report = prover.prove_rule(rule);
-                let ok = report.proved == rule.expected_sound
-                    || (!rule.expected_sound
-                        && matches!(differential_test(rule, 200, 0xC11), DiffOutcome::Refuted(_)));
-                (rule.name.to_owned(), ok)
-            },
-        )
+        self.par_map(rules, |rule, ws| {
+            let report = ws.prove_rule(rule);
+            let ok = report.proved == rule.expected_sound
+                || (!rule.expected_sound
+                    && matches!(differential_test(rule, 200, 0xC11), DiffOutcome::Refuted(_)));
+            (rule.name.to_owned(), ok)
+        })
     }
 
     /// Optimizes a batch of closed queries in parallel with the
     /// certified optimizer, returning reports in input order. Budget
-    /// comes from the engine's prove options. Each worker is one
-    /// [`crate::api::Planner`]; reports are identical to calling
+    /// comes from the engine's prove options. Each worker keeps one
+    /// [`Workspace`]; reports are identical to calling
     /// [`optimizer::optimize`] sequentially on fresh state.
     pub fn optimize_batch(
         &self,
@@ -215,82 +176,68 @@ impl Engine {
         R: Send,
         F: Fn(&Query, Result<OptimizeReport, OptimizeError>) -> R + Sync,
     {
-        let opts = self.config.prove;
-        let mined = &self.config.mined;
-        self.par_map(
-            queries,
-            || {
-                let mut planner = Planner::new(opts);
-                planner.set_mined_rules(mined.clone());
-                planner
-            },
-            |q, planner| finish(q, planner.optimize(q, env, stats)),
-        )
+        let mined = self.mined.as_ref();
+        self.par_map(queries, |q, ws| {
+            finish(q, ws.optimize(q, env, stats, mined))
+        })
     }
 
     /// Batch-proves arbitrary query pairs in parallel — the traffic-
     /// scale entry point behind the `session_vs_fresh` BENCH series.
-    /// Each worker keeps one [`crate::api::Prover`] for its shard;
-    /// reports land in input order and are identical to verifying each
-    /// pair alone (one call per pair, the series' fresh reference).
+    /// Each worker keeps one [`Workspace`] for its shard; reports land
+    /// in input order and are identical to verifying each pair alone
+    /// (one call per pair, the series' fresh reference).
     pub fn prove_pairs(&self, env: &QueryEnv, pairs: &[(Query, Query)]) -> Vec<PairReport> {
-        let opts = self.config.prove;
-        self.par_map(
-            pairs,
-            || Prover::new(opts),
-            |(l, r), prover| {
-                let inst = RuleInstance::plain(env.clone(), l.clone(), r.clone());
-                match prover.verify_instance(&inst) {
-                    Ok((method, steps, _)) => PairReport {
-                        proved: true,
-                        method: Some(method),
-                        steps,
-                    },
-                    Err(_) => PairReport {
-                        proved: false,
-                        method: None,
-                        steps: 0,
-                    },
-                }
-            },
-        )
+        self.par_map(pairs, |(l, r), ws| {
+            let inst = RuleInstance::plain(env.clone(), l.clone(), r.clone());
+            match ws.verify_instance(&inst) {
+                Ok((method, steps, _)) => PairReport {
+                    proved: true,
+                    method: Some(method),
+                    steps,
+                },
+                Err(_) => PairReport {
+                    proved: false,
+                    method: None,
+                    steps: 0,
+                },
+            }
+        })
     }
 
     /// Order-preserving parallel map over a work list: a shared atomic
-    /// cursor hands out indices, each worker builds ONE state value
-    /// with `mk_state` (an [`api::Prover`](crate::api::Prover), an
-    /// [`api::Planner`](crate::api::Planner), or `()` for stateless
-    /// work) and threads it through every item it claims, and results
-    /// land in their input slots.
-    fn par_map<T, S, R, F, M>(&self, items: &[T], mk_state: M, f: F) -> Vec<R>
+    /// cursor hands out indices, each worker builds ONE private
+    /// [`Workspace`] at the engine's options and threads it through
+    /// every item it claims, and results land in their input slots.
+    fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
-        M: Fn() -> S + Sync,
-        F: Fn(&T, &mut S) -> R + Sync,
+        F: Fn(&T, &mut Workspace) -> R + Sync,
     {
+        let opts = self.prove;
         let threads = self.threads().min(items.len().max(1));
         if threads <= 1 {
             // Degenerate pool: run inline (still through the worker
             // state, so single-threaded callers get the memoization
             // win).
-            let mut state = mk_state();
-            return items.iter().map(|r| f(r, &mut state)).collect();
+            let mut ws = Workspace::with_options(opts);
+            return items.iter().map(|r| f(r, &mut ws)).collect();
         }
         let cursor = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let (cursor, slots, f, mk_state) = (&cursor, &slots, &f, &mk_state);
+                let (cursor, slots, f) = (&cursor, &slots, &f);
                 scope.spawn(move || {
                     // Per-worker state: a private VarGen lives inside
-                    // each prove call; the session inside the state
-                    // persists across the items this worker claims.
-                    let mut state = mk_state();
+                    // each prove call; the workspace's sessions persist
+                    // across the items this worker claims.
+                    let mut ws = Workspace::with_options(opts);
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else { break };
-                        let result = f(item, &mut state);
+                        let result = f(item, &mut ws);
                         slots.lock().expect("no poisoned workers")[i] = Some(result);
                     }
                 });

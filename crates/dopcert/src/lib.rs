@@ -49,7 +49,7 @@ pub mod serve;
 pub mod session;
 pub mod wire;
 
-pub use api::{execute, BudgetSpec, Planner, Prover, Request, RequestOptions, Response, Workspace};
-pub use engine::{Engine, EngineConfig};
+pub use api::{execute, BudgetSpec, Request, RequestOptions, Response, Workspace};
+pub use engine::Engine;
 pub use prove::RuleReport;
 pub use rule::{Category, Rule, RuleInstance, SchemaSource};

@@ -5,11 +5,12 @@
 //! zero manual steps here. Every other rule is denoted via Fig. 7 and
 //! handed to the UniNomial provers with any declared axioms.
 //!
-//! The only state the pipeline threads through is a [`ProveSession`]:
+//! The only state the pipeline threads through is a [`ProveSession`],
+//! which also carries the [`ProveOptions`] it verifies under:
 //! normalization keeps none.
 
 use crate::rule::{Category, Rule, RuleInstance};
-use crate::session::ProveSession;
+use crate::session::{ProveSession, Verdict};
 use egraph::prove_eq_saturate_session;
 use egraph::solve::Budget;
 use hottsql::denote::{denote_closed_query, denote_query};
@@ -87,15 +88,11 @@ pub struct RuleReport {
 }
 
 /// The one rule-verification pipeline all entry points share, on the
-/// state a [`crate::api::Prover`] holds. Verdict, method, and step
+/// session a [`crate::api::Workspace`] holds. Verdict, method, and step
 /// count are identical whether that state is fresh or warm
 /// (property-tested); only `micros` (wall clock) differs. Repeated
 /// goals are answered from the session memo.
-pub(crate) fn prove_rule_on(
-    rule: &Rule,
-    session: &mut ProveSession,
-    opts: ProveOptions,
-) -> RuleReport {
+pub(crate) fn prove_rule_on(rule: &Rule, session: &mut ProveSession) -> RuleReport {
     let start = Instant::now();
     let inst = rule.generic();
     // Conjunctive-query rules go to the decision procedure.
@@ -116,7 +113,7 @@ pub(crate) fn prove_rule_on(
             },
         };
     }
-    match verify_instance(&inst, session, opts) {
+    match verify_instance(&inst, session) {
         Ok((method, steps, attempted)) => RuleReport {
             name: rule.name,
             category: rule.category,
@@ -155,24 +152,23 @@ pub fn decide_cq(inst: &RuleInstance) -> Option<bool> {
 ///
 /// Returns a diagnostic string (typing error or differing normal forms).
 pub fn prove_instance(inst: &RuleInstance) -> Result<(Method, usize), String> {
-    let opts = ProveOptions {
+    let mut session = ProveSession::new(ProveOptions {
         saturate: SaturateMode::Off,
         ..ProveOptions::default()
-    };
-    let mut session = ProveSession::new(opts);
-    match verify_instance(inst, &mut session, opts) {
+    });
+    match verify_instance(inst, &mut session) {
         Ok((VerifyMethod::Tactic(m), steps, _)) => Ok((m, steps)),
         Ok((other, _, _)) => Err(format!("unexpected method {other}")),
         Err((msg, _)) => Err(msg),
     }
 }
 
-/// Denotes both sides of an instance without proving anything.
+/// Denotes both sides of an instance without proving anything — the
+/// denotation step of [`verify_instance`].
 ///
-/// Returns the [`VarGen`] alongside the denotations: its state matches
-/// what [`prove_instance`] holds when it reaches normalization (same
-/// fresh-variable stream, consumed in the same order), so a caller can
-/// reproduce the exact trees the prover normalizes.
+/// Returns the [`VarGen`] alongside the denotations: it is the one the
+/// prover goes on to normalize with, so a caller reproduces the exact
+/// trees the prover normalizes.
 ///
 /// # Errors
 ///
@@ -193,22 +189,18 @@ pub fn denote_instance(inst: &RuleInstance) -> Result<(UExpr, UExpr, VarGen), St
     Ok((el, er, gen))
 }
 
-/// Denotes an instance and runs the configured verification pipeline
-/// on a [`ProveSession`] built for `opts`. On success returns the
-/// method, step count, and every method attempted; on failure the
-/// diagnostic and the attempted list.
+/// Denotes an instance and runs the verification pipeline on a
+/// [`ProveSession`], under the options the session is bound to. On
+/// success returns the method, step count, and every method attempted;
+/// on failure the diagnostic and the attempted list.
 ///
 /// Axiom-free goals are answered from the session's verdict memo when
 /// already seen (byte-identical by determinism of the pipeline); misses
 /// run the ordinary pipeline — with the saturation step routed through
 /// the session's goal memo — and are recorded. A fresh session gives
 /// the same answer as a warm one.
-#[allow(clippy::type_complexity)] // (method, steps, attempts) / (diag, attempts)
-pub fn verify_instance(
-    inst: &RuleInstance,
-    session: &mut ProveSession,
-    opts: ProveOptions,
-) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
+pub fn verify_instance(inst: &RuleInstance, session: &mut ProveSession) -> Verdict {
+    let opts = session.options();
     let bail = |msg: String| (msg, Vec::new());
     // Query-level verdict memo: for axiom-free goals the whole pipeline
     // — denotation, typing, tactics, saturation — is a deterministic
@@ -218,18 +210,7 @@ pub fn verify_instance(
     if let Some(verdict) = session.lookup_query(inst, opts) {
         return verdict;
     }
-    let mut gen = VarGen::new();
-    let (t, el) = denote_closed_query(&inst.lhs, &inst.env, &mut gen)
-        .map_err(|e| bail(format!("lhs: {e}")))?;
-    let er = denote_query(
-        &inst.rhs,
-        &inst.env,
-        &Schema::Empty,
-        &Term::Unit,
-        &Term::var(&t),
-        &mut gen,
-    )
-    .map_err(|e| bail(format!("rhs: {e}")))?;
+    let (el, er, mut gen) = denote_instance(inst).map_err(bail)?;
     // Schemas of both sides must agree for the rule to be well-formed.
     let sl = hottsql::ty::infer_query(&inst.lhs, &inst.env, &Schema::Empty)
         .map_err(|e| bail(e.to_string()))?;
@@ -247,7 +228,7 @@ pub fn verify_instance(
             return verdict;
         }
     }
-    let verdict = verify_denoted(&el, &er, inst, &mut gen, session, opts);
+    let verdict = verify_denoted(&el, &er, inst, &mut gen, session);
     if memoizable {
         session.record(&el, &er, opts, verdict.clone());
         session.record_query(inst, opts, verdict.clone());
@@ -256,15 +237,14 @@ pub fn verify_instance(
 }
 
 /// The tactic/saturation pipeline over already-denoted sides.
-#[allow(clippy::type_complexity)] // same result shape as verify_instance
 fn verify_denoted(
     el: &UExpr,
     er: &UExpr,
     inst: &RuleInstance,
     gen: &mut VarGen,
     session: &mut ProveSession,
-    opts: ProveOptions,
-) -> Result<(VerifyMethod, usize, Vec<String>), (String, Vec<String>)> {
+) -> Verdict {
+    let opts = session.options();
     let mut attempted: Vec<String> = Vec::new();
     let mut tactic_diag: Option<String> = None;
     if opts.saturate != SaturateMode::Only {
@@ -408,6 +388,19 @@ mod tests {
         let report = crate::api::prove_rule(&rule);
         assert!(!report.proved);
         assert!(report.failure.unwrap().contains("schema mismatch"));
+    }
+
+    #[test]
+    fn a_denotation_error_names_its_side() {
+        let env = QueryEnv::new().with_table("R", Schema::flat([relalg::BaseType::Int]));
+        let mut session = ProveSession::new(ProveOptions::default());
+        for (lhs, rhs, side) in [("R", "S", "rhs: "), ("S", "R", "lhs: ")] {
+            let inst = RuleInstance::plain(env.clone(), Query::table(lhs), Query::table(rhs));
+            let (diag, attempted) = verify_instance(&inst, &mut session).unwrap_err();
+            assert_eq!(diag, format!("{side}unbound name: S"));
+            assert!(attempted.is_empty());
+            assert_eq!(denote_instance(&inst).unwrap_err(), diag);
+        }
     }
 
     #[test]

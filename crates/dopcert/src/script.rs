@@ -34,11 +34,11 @@
 //! *inequivalent* and must produce a counterexample. A goal's queries
 //! must lex completely: an unknown character, an unterminated string,
 //! a `-` without digits or an integer outside `i64` is a parse error,
-//! never a shorter query. Goals run on one [`Prover`], whose only state
-//! is its persistent session.
+//! never a shorter query. A script's goals run one after another on one
+//! [`Workspace`]'s prove session ([`Workspace::run_script`]).
 
-use crate::api::{BudgetSpec, Prover};
-use crate::prove::{verify_instance, ProveOptions, VerifyMethod};
+use crate::api::{BudgetSpec, Workspace};
+use crate::prove::{verify_instance, VerifyMethod};
 use crate::rule::RuleInstance;
 use hottsql::ast::Query;
 use hottsql::env::QueryEnv;
@@ -440,12 +440,12 @@ fn parse_distinct_decl(rest: &str, script: &Script) -> Result<(String, usize, f6
 
 /// Checks one goal with the full pipeline: its CQ decision (already
 /// computed in the script's batch), else the general prover on the
-/// prover's persistent session, then a counterexample hunt.
+/// workspace's persistent session, then a counterexample hunt.
 fn goal_outcome(
     env: &QueryEnv,
     goal: &Goal,
     cq_decision: Option<bool>,
-    prover: &mut Prover,
+    ws: &mut Workspace,
 ) -> GoalOutcome {
     // 1. Decision procedure for the conjunctive fragment.
     if let Some(decided) = cq_decision {
@@ -469,7 +469,7 @@ fn goal_outcome(
     }
     // 2. General prover (tactics and/or saturation per its options).
     let inst = RuleInstance::plain(env.clone(), goal.lhs.clone(), goal.rhs.clone());
-    match verify_instance(&inst, &mut prover.session, prover.opts) {
+    match verify_instance(&inst, &mut ws.prove) {
         Ok((method, steps, _)) => GoalOutcome::Proved { method, steps },
         Err((diag, _)) => match hunt_counterexample(env, goal) {
             Some(cex) => GoalOutcome::Refuted {
@@ -517,32 +517,18 @@ fn hunt_counterexample(env: &QueryEnv, goal: &Goal) -> Option<String> {
     None
 }
 
-/// Runs a whole script with default options ([`run_script_with`]).
-pub fn run_script(script: &Script) -> Vec<GoalOutcome> {
-    run_script_with(script, ProveOptions::default())
-}
-
-/// Runs a whole script; returns per-goal outcomes.
+/// Runs a script's goals on `ws`, whose prove session persists across
+/// goals and scripts; returns per-goal outcomes. Outcomes are identical
+/// on a fresh workspace and a warm one (the session-identity guarantee).
 ///
 /// The conjunctive-query fragment is decided in one batch: every
 /// CQ-translatable side across all goals is indexed once
 /// ([`cq::containment::equivalent_set_batch`]), so a script with many
 /// goals over the same tables pays the homomorphism-target indexing per
-/// query, not per goal. Non-CQ goals go to the prover configured by
-/// `opts` — the CLI's `prove --saturate` mode routes every such goal
-/// through equality saturation alone.
-pub fn run_script_with(script: &Script, opts: ProveOptions) -> Vec<GoalOutcome> {
-    // One persistent proving session serves every goal of the script —
-    // outcomes are identical to checking each goal alone.
-    run_script_in(script, &mut Prover::new(opts))
-}
-
-/// Runs a script's goals on an existing [`Prover`] — the resident path
-/// the serve daemon's workers use, with the prover's session persisting
-/// across scripts. Outcomes are identical to
-/// [`run_script_with`] on fresh state (the session-identity
-/// guarantee).
-pub fn run_script_in(script: &Script, prover: &mut Prover) -> Vec<GoalOutcome> {
+/// query, not per goal. Non-CQ goals go to the prover under the
+/// workspace's options — the CLI's `prove --saturate` mode routes every
+/// such goal through equality saturation alone.
+pub(crate) fn run_script_in(script: &Script, ws: &mut Workspace) -> Vec<GoalOutcome> {
     // Translate every goal side once; collect the CQ-decidable goals.
     let mut queries = Vec::new();
     let mut pair_of_goal: Vec<Option<(usize, usize)>> = Vec::new();
@@ -566,7 +552,7 @@ pub fn run_script_in(script: &Script, prover: &mut Prover) -> Vec<GoalOutcome> {
         .zip(&pair_of_goal)
         .map(|(goal, cq_pair)| {
             let decision = cq_pair.map(|_| decisions.next().expect("one decision per CQ goal"));
-            goal_outcome(&script.env, goal, decision, prover)
+            goal_outcome(&script.env, goal, decision, ws)
         })
         .collect()
 }
@@ -574,6 +560,12 @@ pub fn run_script_in(script: &Script, prover: &mut Prover) -> Vec<GoalOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::RequestOptions;
+
+    /// Runs a script on a fresh workspace at the default options.
+    fn run_script(script: &Script) -> Vec<GoalOutcome> {
+        Workspace::new(RequestOptions::default()).run_script(script)
+    }
 
     const SCRIPT: &str = "\
 -- the Sec. 2 example

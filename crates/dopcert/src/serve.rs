@@ -4,11 +4,13 @@
 //! over plain TCP and puts them on one job queue that a fixed pool of
 //! worker threads takes from: whichever worker is free runs the next
 //! request, so no worker idles while a request waits. Each worker owns
-//! one resident [`Workspace`] (prover session + planner session), and
-//! the workspaces are [`Workspace::sibling`]s that share the
-//! query-level verdict memo and the plan memo, so a repeated script is
-//! a memo hit whichever worker takes it — that is where the hit-rate
-//! reported by `stats` comes from. By the session-identity guarantee,
+//! one resident [`Workspace`] (prove session + plan session), and the
+//! workspaces are [`Workspace::sibling`]s that share the query-level
+//! verdict memo, the plan memo and the mined catalog, so a repeated
+//! script is a memo hit whichever worker takes it — that is where the
+//! hit-rate reported by `stats` comes from — and a `mine` request on any
+//! worker sets the catalog every worker's `mined-rules` optimize
+//! requests search with. By the session-identity guarantee,
 //! every answer is byte-identical to a fresh single-shot CLI run of the
 //! same request (`tests/serve.rs` asserts this against
 //! [`crate::execute`]).
@@ -29,12 +31,13 @@
 //!
 //! Observability is part of the protocol: every request's end-to-end
 //! latency lands in a per-request-kind histogram, each worker's memo
-//! hits are published *live* (mid-request, not only after a worker
-//! finishes), and a `metrics` request answers with a Prometheus-style
-//! text exposition combining these server-owned series (including the
-//! `dopcert_serve_queued` and `dopcert_serve_in_flight` gauges: requests
-//! waiting in the queue and requests a worker is running) with the
-//! process-wide [`telemetry`] snapshot (phase spans, memo counters).
+//! hits are read *live* from its sessions' hit counters (mid-request,
+//! not only after a worker finishes), and a `metrics` request answers
+//! with a Prometheus-style text exposition combining these server-owned
+//! series (including the `dopcert_serve_queued` and
+//! `dopcert_serve_in_flight` gauges: requests waiting in the queue and
+//! requests a worker is running) with the process-wide [`telemetry`]
+//! snapshot (phase spans, memo counters).
 //!
 //! Error handling is per request: a malformed line or rejected budget
 //! answers with an error *response* on the same connection — the
@@ -210,21 +213,6 @@ impl TenantLedger {
     }
 }
 
-/// One worker's live memo-hit counters. The resident sessions store
-/// into these on *every* memo hit (see `publish_hits_to`), so `stats`
-/// sees progress mid-request instead of only after a worker finishes.
-#[derive(Debug)]
-struct WorkerHits {
-    prover: Arc<AtomicUsize>,
-    planner: Arc<AtomicUsize>,
-}
-
-impl WorkerHits {
-    fn total(&self) -> usize {
-        self.prover.load(Ordering::Relaxed) + self.planner.load(Ordering::Relaxed)
-    }
-}
-
 /// State shared by the listener, every connection, and every worker.
 #[derive(Debug)]
 struct Shared {
@@ -237,8 +225,9 @@ struct Shared {
     counters: Mutex<Counters>,
     /// Per-tenant admission accounts.
     tenants: Mutex<TenantLedger>,
-    /// Each worker's live memo-hit counters.
-    memo_hits: Vec<WorkerHits>,
+    /// Each worker's live memo-hit counters
+    /// ([`Workspace::hit_counters`]).
+    memo_hits: Vec<[Arc<AtomicUsize>; 2]>,
     /// Requests waiting in the job queue.
     queued: AtomicUsize,
     /// Requests a worker is running.
@@ -246,16 +235,16 @@ struct Shared {
     /// End-to-end request latency (µs) per request kind, including
     /// queueing — the tail a client actually observes.
     latency: Mutex<BTreeMap<&'static str, Histogram>>,
-    /// The daemon-wide mined catalog: published by whichever worker
-    /// answers a `mine` request, adopted by every worker before an
-    /// `optimize` request with `mined-rules` on — one catalog shared
-    /// across all resident sessions.
-    mined: std::sync::RwLock<Option<Arc<Vec<egraph::MinedRule>>>>,
+}
+
+/// One worker's memo hits so far.
+fn worker_hits(counters: &[Arc<AtomicUsize>; 2]) -> usize {
+    counters.iter().map(|c| c.load(Ordering::Relaxed)).sum()
 }
 
 impl Shared {
     fn stats(&self) -> ServerStats {
-        let by_worker: Vec<usize> = self.memo_hits.iter().map(WorkerHits::total).collect();
+        let by_worker: Vec<usize> = self.memo_hits.iter().map(worker_hits).collect();
         let c = self.counters.lock().expect("counters lock");
         ServerStats {
             workers: self.config.workers,
@@ -325,7 +314,7 @@ impl Shared {
         for (slot, hits) in self.memo_hits.iter().enumerate() {
             bag.incr(
                 &format!("serve.memo_hits{{worker=\"{slot}\"}}"),
-                hits.total() as u64,
+                worker_hits(hits) as u64,
             );
         }
         {
@@ -383,6 +372,10 @@ impl Server {
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let refill = config.refill;
+        // Every worker's workspace shares `root`'s verdict memo, plan
+        // memo and mined catalog; `stats` reads their hit counters.
+        let root = Workspace::new(config.defaults);
+        let workspaces: Vec<Workspace> = (0..workers).map(|_| root.sibling()).collect();
         let shared = Arc::new(Shared {
             config: ServeConfig { workers, ..config },
             addr,
@@ -390,69 +383,34 @@ impl Server {
             shutdown: AtomicBool::new(false),
             counters: Mutex::new(Counters::default()),
             tenants: Mutex::new(TenantLedger::new(refill)),
-            memo_hits: (0..workers)
-                .map(|_| WorkerHits {
-                    prover: Arc::new(AtomicUsize::new(0)),
-                    planner: Arc::new(AtomicUsize::new(0)),
-                })
-                .collect(),
+            memo_hits: workspaces.iter().map(Workspace::hit_counters).collect(),
             latency: Mutex::new(BTreeMap::new()),
-            mined: std::sync::RwLock::new(None),
             queued: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
         });
 
-        // One queue feeds every worker, and every worker's workspace
-        // shares `root`'s verdict and plan memos.
+        // One queue feeds every worker.
         let (jobs, queue) = channel::<Job>();
         let queue = Arc::new(Mutex::new(queue));
-        let root = Workspace::new(shared.config.defaults);
         let mut worker_threads = Vec::with_capacity(workers);
-        for slot in 0..workers {
-            let mut workspace = root.sibling();
+        for mut workspace in workspaces {
             let queue = Arc::clone(&queue);
             let shared = Arc::clone(&shared);
-            worker_threads.push(std::thread::spawn(move || {
-                // Live publishing: the resident sessions store into the
-                // shared counters on every memo hit, so `stats` during a
-                // long request reflects it mid-flight.
-                workspace.publish_memo_hits(
-                    Arc::clone(&shared.memo_hits[slot].prover),
-                    Arc::clone(&shared.memo_hits[slot].planner),
-                );
-                loop {
-                    // The lock is held while waiting for the next job and
-                    // released before running it. The queue ends once
-                    // every sender is gone.
-                    let next = queue.lock().expect("job queue lock").recv();
-                    let Ok(job) = next else { break };
-                    shared.queued.fetch_sub(1, Ordering::Relaxed);
-                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                    let start = Instant::now();
-                    // The mined catalog is daemon-wide: adopt the latest
-                    // published one before a mined-rules plan search …
-                    if let Request::Optimize { opts, .. } = &job.req {
-                        if opts.mined_rules {
-                            let published =
-                                shared.mined.read().expect("mined catalog lock").clone();
-                            if let Some(rules) = published {
-                                workspace.set_mined_catalog(rules);
-                            }
-                        }
-                    }
-                    let resp = workspace.execute(&job.req);
-                    // … and publish the outcome of a mining run for the
-                    // other workers' sessions.
-                    if matches!(job.req, Request::Mine { .. }) {
-                        *shared.mined.write().expect("mined catalog lock") =
-                            Some(workspace.mined_catalog());
-                    }
-                    shared.count_response(&resp, start.elapsed().as_micros());
-                    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    // A dropped receiver means the client hung up
-                    // mid-request; the work is already counted.
-                    let _ = job.reply.send(resp);
-                }
+            worker_threads.push(std::thread::spawn(move || loop {
+                // The lock is held while waiting for the next job and
+                // released before running it. The queue ends once every
+                // sender is gone.
+                let next = queue.lock().expect("job queue lock").recv();
+                let Ok(job) = next else { break };
+                shared.queued.fetch_sub(1, Ordering::Relaxed);
+                shared.in_flight.fetch_add(1, Ordering::Relaxed);
+                let start = Instant::now();
+                let resp = workspace.execute(&job.req);
+                shared.count_response(&resp, start.elapsed().as_micros());
+                shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+                // A dropped receiver means the client hung up
+                // mid-request; the work is already counted.
+                let _ = job.reply.send(resp);
             }));
         }
 
@@ -627,22 +585,6 @@ fn reject_overlong(shared: &Shared) -> String {
     encode_response(&Json::Null, &Response::Error(msg))
 }
 
-/// The latency-histogram label of a request.
-fn kind_of(req: &Request) -> &'static str {
-    match req {
-        Request::Prove { .. } => "prove",
-        Request::Optimize { .. } => "optimize",
-        Request::Catalog { .. } => "catalog",
-        Request::Discover { .. } => "discover",
-        Request::Mine { .. } => "mine",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Profile => "profile",
-        Request::Trace => "trace",
-        Request::Shutdown => "shutdown",
-    }
-}
-
 /// Answers one request line, recording its end-to-end latency
 /// (decode through response, queueing included) under its kind.
 fn answer_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> String {
@@ -665,7 +607,7 @@ fn handle_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> (&'static str
             );
         }
     };
-    let kind = kind_of(&req);
+    let kind = req.kind();
 
     // Control requests are answered inline — they must work even when
     // every worker is busy proving.
@@ -813,10 +755,10 @@ pub fn request_once(
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
+    // One write: a second small one would wait out the daemon's
+    // delayed ACK.
     let line = crate::wire::encode_request(id, tenant, req);
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    writer.write_all(format!("{line}\n").as_bytes())?;
     let mut reply = String::new();
     reader.read_line(&mut reply)?;
     crate::wire::decode_response(reply.trim())

@@ -1,13 +1,14 @@
 //! Per-worker proving sessions: the verification-pipeline face of
 //! [`egraph::Session`].
 //!
-//! Every [`Prover`](crate::api::Prover) holds ONE [`ProveSession`]; the
-//! batch engine keeps one per worker for its whole shard. It layers a
-//! two-level *verdict memo* over the e-graph session's goal memo.
-//! The outer level keys on the surface query pair + table environment
-//! and answers before the pipeline runs at all. It may be shared:
-//! [`ProveSession::sibling`] hands another worker a session over the
-//! same outer memo, which is how a `dopcert serve` daemon's workers
+//! Every [`Workspace`](crate::api::Workspace) holds ONE
+//! [`ProveSession`]; the batch engine keeps one workspace per worker for
+//! its whole shard. A session is bound to one set of [`ProveOptions`] and
+//! layers a two-level *verdict memo* over the e-graph session's goal
+//! memo. The outer level keys on the surface query pair + table
+//! environment and answers before the pipeline runs at all. It may be
+//! shared: [`ProveSession::sibling`] hands another worker a session over
+//! the same outer memo, which is how a `dopcert serve` daemon's workers
 //! answer each other's repeats. The inner level, the goal memo and the
 //! hit counter stay per session. The inner level keys on
 //! the raw denotations (which are deterministic per query pair — every
@@ -80,8 +81,9 @@ pub struct ProveSession {
     verdicts: HashMap<(UExprId, UExprId), Verdict>,
     /// The query-level memo, shared with every sibling session.
     query_verdicts: Arc<Mutex<HashMap<QueryKey, Verdict>>>,
-    hits: usize,
-    publish: Option<Arc<AtomicUsize>>,
+    /// Goals answered from either memo level; see
+    /// [`ProveSession::hit_counter`].
+    hits: Arc<AtomicUsize>,
 }
 
 impl ProveSession {
@@ -94,8 +96,7 @@ impl ProveSession {
             interner: Interner::new(),
             verdicts: HashMap::new(),
             query_verdicts: Arc::default(),
-            hits: 0,
-            publish: None,
+            hits: Arc::default(),
         }
     }
 
@@ -109,17 +110,21 @@ impl ProveSession {
         }
     }
 
-    /// Number of goals answered from the verdict memo.
-    pub fn verdict_hits(&self) -> usize {
-        self.hits
+    /// The options this session's verdicts are computed under.
+    pub(crate) fn options(&self) -> ProveOptions {
+        self.opts
     }
 
-    /// Mirrors the live hit count into `sink` on every subsequent memo
-    /// hit (and once now), so an observer sees progress mid-batch
-    /// instead of only after the session's current request completes.
-    pub fn publish_hits_to(&mut self, sink: Arc<AtomicUsize>) {
-        sink.store(self.hits, Ordering::Relaxed);
-        self.publish = Some(sink);
+    /// Number of goals answered from the verdict memo.
+    pub fn verdict_hits(&self) -> usize {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// The counter this session adds one to on every memo hit. A clone
+    /// taken once reads the live count from another thread, so an
+    /// observer sees progress mid-request.
+    pub(crate) fn hit_counter(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.hits)
     }
 
     /// Looks up the recorded verdict for a goal with these denotations,
@@ -134,10 +139,7 @@ impl ProveSession {
         let key = (self.interner.intern(el), self.interner.intern(er));
         let hit = self.verdicts.get(&key).cloned();
         if hit.is_some() {
-            self.hits += 1;
-            if let Some(sink) = &self.publish {
-                sink.store(self.hits, Ordering::Relaxed);
-            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
             telemetry::count("memo.verdict.hit", 1);
         } else {
             telemetry::count("memo.verdict.miss", 1);
@@ -174,10 +176,7 @@ impl ProveSession {
             .get(&key)
             .cloned();
         if hit.is_some() {
-            self.hits += 1;
-            if let Some(sink) = &self.publish {
-                sink.store(self.hits, Ordering::Relaxed);
-            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
             telemetry::count("memo.verdict.hit", 1);
         }
         hit

@@ -532,40 +532,29 @@ pub fn encode_request(id: &Json, tenant: &str, req: &Request) -> String {
             map.insert("budget".to_owned(), Json::Obj(b));
         }
     };
-    let cmd = match req {
-        Request::Prove { script, opts } => {
+    match req {
+        Request::Prove { script, opts } | Request::Optimize { script, opts } => {
             map.insert("script".to_owned(), Json::Str(script.clone()));
             put_opts(&mut map, opts);
-            "prove"
-        }
-        Request::Optimize { script, opts } => {
-            map.insert("script".to_owned(), Json::Str(script.clone()));
-            put_opts(&mut map, opts);
-            "optimize"
         }
         Request::Catalog { discover, opts } => {
             if *discover {
                 map.insert("discover".to_owned(), Json::Bool(true));
             }
             put_opts(&mut map, opts);
-            "catalog"
         }
-        Request::Discover { opts } => {
-            put_opts(&mut map, opts);
-            "discover"
-        }
+        Request::Discover { opts } => put_opts(&mut map, opts),
         Request::Mine { seed, count } => {
             map.insert("seed".to_owned(), Json::Num(*seed as f64));
             map.insert("count".to_owned(), Json::Num(*count as f64));
-            "mine"
         }
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Profile => "profile",
-        Request::Trace => "trace",
-        Request::Shutdown => "shutdown",
-    };
-    map.insert("cmd".to_owned(), Json::Str(cmd.to_owned()));
+        Request::Stats
+        | Request::Metrics
+        | Request::Profile
+        | Request::Trace
+        | Request::Shutdown => {}
+    }
+    map.insert("cmd".to_owned(), Json::Str(req.kind().to_owned()));
     Json::Obj(map).render()
 }
 

@@ -3,7 +3,7 @@
 //! be proved by equality saturation *alone* (no bespoke tactic), within
 //! the default budget, with a trace referencing only `Lemma` axioms.
 
-use dopcert::api::{prove_rule, Prover};
+use dopcert::api::{prove_rule, Workspace};
 use dopcert::catalog;
 use dopcert::prove::{ProveOptions, SaturateMode, VerifyMethod};
 use dopcert::rule::Category;
@@ -17,7 +17,7 @@ fn saturate_only() -> ProveOptions {
 
 #[test]
 fn every_tactic_proved_rule_is_proved_by_saturation_alone() {
-    let mut prover = Prover::new(saturate_only());
+    let mut ws = Workspace::with_options(saturate_only());
     for rule in catalog::sound_rules() {
         if rule.category == Category::ConjunctiveQuery {
             continue; // decided by the CQ procedure, not a tactic
@@ -26,7 +26,7 @@ fn every_tactic_proved_rule_is_proved_by_saturation_alone() {
         if !tactics.proved {
             continue; // nothing to mirror
         }
-        let sat = prover.prove_rule(&rule);
+        let sat = ws.prove_rule(&rule);
         assert!(
             sat.proved,
             "{}: tactics prove it but saturation does not: {:?}",
@@ -53,7 +53,7 @@ fn saturation_fallback_is_reported_distinctly() {
     let report = prove_rule(rule);
     assert!(matches!(report.method, Some(VerifyMethod::Tactic(_))));
     // …while saturate-only reports the distinct method.
-    let report = Prover::new(saturate_only()).prove_rule(rule);
+    let report = Workspace::with_options(saturate_only()).prove_rule(rule);
     assert_eq!(report.method, Some(VerifyMethod::Saturation));
     assert!(report.attempted.iter().any(|a| a.contains("saturation")));
 }

@@ -58,9 +58,9 @@ fn concurrent_clients_get_answers_bit_identical_to_the_fresh_cli() {
                     };
                     let id = Json::Num((client * 100 + i) as f64);
                     let line = encode_request(&id, "default", &req);
-                    writer.write_all(line.as_bytes()).expect("write");
-                    writer.write_all(b"\n").expect("write");
-                    writer.flush().expect("flush");
+                    writer
+                        .write_all(format!("{line}\n").as_bytes())
+                        .expect("write");
                     let mut reply = String::new();
                     reader.read_line(&mut reply).expect("read");
                     let reply = decode_response(reply.trim()).expect("decode");
@@ -106,9 +106,9 @@ fn malformed_and_over_budget_requests_fail_without_poisoning_the_connection() {
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
     let mut roundtrip = |line: &str| {
-        writer.write_all(line.as_bytes()).expect("write");
-        writer.write_all(b"\n").expect("write");
-        writer.flush().expect("flush");
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("read");
         decode_response(reply.trim()).expect("decode")
@@ -225,9 +225,9 @@ fn hostile_nesting_and_retired_options_leave_the_daemon_answering() {
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
     let mut roundtrip = |line: &str| {
-        writer.write_all(line.as_bytes()).expect("write");
-        writer.write_all(b"\n").expect("write");
-        writer.flush().expect("flush");
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("read");
         reply

@@ -6,9 +6,9 @@
 //! The reference throughout runs each item through its own engine
 //! call, so nothing is shared between items.
 
-use dopcert::api::Prover;
+use dopcert::api::Workspace;
 use dopcert::catalog;
-use dopcert::engine::{Engine, EngineConfig};
+use dopcert::engine::Engine;
 use dopcert::prove::{ProveOptions, SaturateMode, VerifyMethod};
 use egraph::Budget;
 use hottsql::ast::Query;
@@ -16,13 +16,13 @@ use hottsql::env::QueryEnv;
 use proptest::prelude::*;
 
 fn engine(saturate: SaturateMode) -> Engine {
-    Engine::with_config(EngineConfig {
+    Engine {
         prove: ProveOptions {
             saturate,
             ..ProveOptions::default()
         },
-        ..EngineConfig::default()
-    })
+        ..Engine::default()
+    }
 }
 
 /// The fresh-state reference: each item through its own `batch` call.
@@ -94,15 +94,15 @@ fn repeated_rule_through_one_session_replays_the_same_report() {
         .iter()
         .find(|r| r.name == "union-slct-distr")
         .expect("catalog rule");
-    let mut prover = Prover::new(opts);
-    let first = prover.prove_rule(rule);
-    let second = prover.prove_rule(rule);
+    let mut ws = Workspace::with_options(opts);
+    let first = ws.prove_rule(rule);
+    let second = ws.prove_rule(rule);
     assert!(first.proved);
     assert_eq!(first.method, second.method);
     assert_eq!(first.steps, second.steps);
-    assert_eq!(prover.memo_hits(), 1, "second answer from the memo");
+    assert_eq!(ws.memo_hits(), 1, "second answer from the memo");
     // And the memoized answer equals a derivation on fresh state.
-    let fresh = Prover::new(opts).prove_rule(rule);
+    let fresh = Workspace::with_options(opts).prove_rule(rule);
     assert_eq!(fresh.method, second.method);
     assert_eq!(fresh.steps, second.steps);
 }

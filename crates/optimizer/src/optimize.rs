@@ -237,7 +237,7 @@ pub fn optimize(
         return Ok(report);
     }
     telemetry::count("memo.plan.miss", 1);
-    let report = optimize_query_impl(q, env, stats, opts, session.budget, mined)?;
+    let report = optimize_query_impl(q, env, stats, opts, session.budget(), mined)?;
     session.record_plan(&config, q, &report);
     Ok(report)
 }

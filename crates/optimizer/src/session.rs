@@ -11,7 +11,8 @@
 //! The memo itself may be shared: [`PlanSession::sibling`] hands another
 //! worker a session over the same memo, which is how a `dopcert serve`
 //! daemon's workers answer each other's repeats. The hit counter stays
-//! per session.
+//! per session; [`PlanSession::hit_counter`] lets another thread read it
+//! live.
 
 use crate::optimize::OptimizeReport;
 use egraph::solve::Budget;
@@ -36,9 +37,8 @@ struct PlanMemo {
 pub struct PlanSession {
     memo: Arc<Mutex<PlanMemo>>,
     /// Budget of the certificates' saturation fallback.
-    pub(crate) budget: Budget,
-    plan_hits: usize,
-    publish: Option<Arc<AtomicUsize>>,
+    budget: Budget,
+    plan_hits: Arc<AtomicUsize>,
 }
 
 impl PlanSession {
@@ -48,8 +48,7 @@ impl PlanSession {
         PlanSession {
             memo: Arc::default(),
             budget,
-            plan_hits: 0,
-            publish: None,
+            plan_hits: Arc::default(),
         }
     }
 
@@ -58,18 +57,13 @@ impl PlanSession {
     pub fn sibling(&self) -> PlanSession {
         PlanSession {
             memo: Arc::clone(&self.memo),
-            budget: self.budget,
-            plan_hits: 0,
-            publish: None,
+            ..PlanSession::new(self.budget)
         }
     }
 
-    /// Mirrors the live plan-hit count into `sink` on every subsequent
-    /// memo hit (and once now): an observer sees a long batch's memo
-    /// progress without waiting for it to finish.
-    pub fn publish_hits_to(&mut self, sink: Arc<AtomicUsize>) {
-        sink.store(self.plan_hits, Ordering::Relaxed);
-        self.publish = Some(sink);
+    /// Budget of the certificates' saturation fallback.
+    pub fn budget(&self) -> Budget {
+        self.budget
     }
 
     /// The report recorded for `q` under configuration `config` (a
@@ -89,10 +83,7 @@ impl PlanSession {
             }
         };
         if hit.is_some() {
-            self.plan_hits += 1;
-            if let Some(sink) = &self.publish {
-                sink.store(self.plan_hits, Ordering::Relaxed);
-            }
+            self.plan_hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
@@ -109,7 +100,14 @@ impl PlanSession {
 
     /// Queries answered from the plan memo.
     pub fn plan_hits(&self) -> usize {
-        self.plan_hits
+        self.plan_hits.load(Ordering::Relaxed)
+    }
+
+    /// The counter this session adds one to on every memo hit. A clone
+    /// taken once reads the live count from another thread, so an
+    /// observer sees a long batch's memo progress before it finishes.
+    pub fn hit_counter(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.plan_hits)
     }
 }
 
