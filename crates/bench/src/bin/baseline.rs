@@ -1,7 +1,7 @@
 //! The list-semantics baseline comparison (Sec. 2).
 //!
 //! The paper reports that commutativity of selection takes 65 lines of
-//! Coq under list semantics [35] and 10 lines under HoTTSQL. We make the
+//! Coq under list semantics \[35\] and 10 lines under HoTTSQL. We make the
 //! comparison quantitative on two axes: (a) proof effort in our system
 //! (trace steps for the same rule), and (b) the runtime cost that the
 //! list representation forces on every equivalence check (sorting for

@@ -1,7 +1,7 @@
 //! Bag equivalence of conjunctive queries.
 //!
 //! Under bag semantics, two CQs are equivalent iff they are *isomorphic*
-//! (Chaudhuri–Vardi [10]; Fig. 9 lists the problem as graph-isomorphism
+//! (Chaudhuri–Vardi \[10\]; Fig. 9 lists the problem as graph-isomorphism
 //! complete). The implementation searches for a variable bijection that
 //! maps the atom multiset of one query onto the other's exactly and
 //! preserves the head.

@@ -1,6 +1,6 @@
 //! Unions of conjunctive queries (UCQs).
 //!
-//! Sagiv–Yannakakis [42]: a UCQ `q₁ ∪ … ∪ qₙ` is contained in
+//! Sagiv–Yannakakis \[42\]: a UCQ `q₁ ∪ … ∪ qₙ` is contained in
 //! `p₁ ∪ … ∪ pₘ` (set semantics) iff every `qᵢ` is contained in *some*
 //! `pⱼ`. Containment/equivalence of UCQs is NP-complete (Fig. 9, row 2).
 

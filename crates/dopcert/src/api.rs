@@ -5,17 +5,17 @@
 //! CLI subcommands, the `.dop` script runner, the batch engine, and the
 //! `dopcert serve` daemon — routes through it:
 //!
-//! - [`Workspace`] is the one per-worker state: a prove session and a
-//!   plan session, with one method per capability. A new workspace is
-//!   fresh state, a kept one is resident state, and both run the same
-//!   pipeline.
+//! - [`Workspace`] is the one per-worker state: a prove session, a plan
+//!   session and a response memo, with one method per capability. A new
+//!   workspace is fresh state, a kept one is resident state, and both
+//!   run the same pipeline.
 //! - [`Request`] / [`Response`] are the typed request values every
 //!   front end routes through: the CLI builds a `Request` from its
 //!   flags, the script runner from a parsed [`Script`], and the
 //!   `dopcert serve` daemon decodes one from each wire line.
 //! - [`execute`] answers a request on fresh state — the single-shot
 //!   CLI path. [`Workspace::execute`] answers it on resident state —
-//!   the daemon's per-worker path — with responses byte-identical to
+//!   the daemon's pooled path — with responses byte-identical to
 //!   [`execute`] by the session-identity guarantee.
 //! - [`BudgetSpec`] is the one place the three saturation-budget knobs
 //!   are parsed and validated; CLI flags, script `budget` directives,
@@ -28,13 +28,14 @@
 use crate::engine::Engine;
 use crate::prove::{ProveOptions, RuleReport, SaturateMode};
 use crate::rule::{Rule, RuleInstance};
-use crate::script::{parse_script, GoalOutcome, Script};
+use crate::script::{budget_directives, parse_script, GoalOutcome, Script};
 use crate::session::{ProveSession, Verdict};
 use egraph::solve::Budget;
 use hottsql::ast::Query;
 use hottsql::env::QueryEnv;
 use optimizer::{OptimizeError, OptimizeOptions, OptimizeReport, PlanCtx, PlanSession};
 use relalg::stats::Statistics;
+use std::collections::HashMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 
@@ -211,7 +212,7 @@ pub enum Request {
     /// the saturation phase breakdown.
     Metrics,
     /// Per-rule saturation attribution table (`dopcert serve` only):
-    /// the daemon's merged [`telemetry::Profile`] across all workers.
+    /// the daemon's merged [`telemetry::Profile`] across all threads.
     Profile,
     /// Flush the Chrome-trace buffer (`dopcert serve` only): drains the
     /// accumulated events and returns them rendered, without stopping
@@ -410,8 +411,8 @@ pub struct KindLatency {
 /// Counters a `dopcert serve` daemon reports for a `stats` request.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Worker threads, each owning one resident [`Workspace`]; the
-    /// workspaces share their verdict and plan memos.
+    /// Resident [`Workspace`]s in the daemon's pool; they share their
+    /// response and plan memos.
     pub workers: usize,
     /// Requests received (including rejected and malformed ones).
     pub requests: usize,
@@ -423,14 +424,14 @@ pub struct ServerStats {
     pub budget_rejections: usize,
     /// Script goals checked across all prove requests.
     pub goals: usize,
-    /// Memo hits across all resident sessions (verdict + plan memos).
-    /// Published live, per goal — a long-running request shows progress
-    /// here before it finishes.
+    /// Memo hits across all resident workspaces (response, verdict and
+    /// plan memos). Published live, per goal — a long-running request
+    /// shows progress here before it finishes.
     pub memo_hits: usize,
-    /// Busy time across workers, microseconds.
+    /// Time workspaces spent running requests, microseconds.
     pub micros: u128,
-    /// Memo hits per worker slot (sums to `memo_hits`; empty when the
-    /// daemon predates the breakdown or has no workers).
+    /// Memo hits per workspace slot (sums to `memo_hits`; empty when the
+    /// daemon predates the breakdown).
     pub memo_hits_by_worker: Vec<usize>,
     /// Per-request-kind latency summaries, sorted by kind.
     pub latency: Vec<KindLatency>,
@@ -662,16 +663,25 @@ fn render_discoveries(found: &[Discovery]) -> Vec<String> {
 }
 
 /// One worker's state: a [`ProveSession`] and a [`PlanSession`] bound to
-/// one set of [`ProveOptions`], plus the mined catalog that `mined-rules`
-/// optimize requests search with. A new workspace is fresh state, a kept
-/// one is resident state, and both run the same pipeline: answers are
-/// byte-identical either way (the session-identity guarantee, asserted by
+/// one set of [`ProveOptions`], a response memo over whole prove
+/// scripts, and the mined catalog that `mined-rules` optimize requests
+/// search with. A new workspace is fresh state, a kept one is resident
+/// state, and both run the same pipeline: answers are byte-identical
+/// either way (the session-identity guarantee, asserted by
 /// `tests/session.rs` and `tests/serve.rs`).
 ///
+/// [`Workspace::execute`] answers a prove request under the workspace's
+/// options from the response memo when it has seen the same script text
+/// before, before parsing it, and counts one memo hit per goal. Only
+/// answers computed on this resident path are recorded. The memo holds a
+/// fixed number of bytes of script plus response text, and recording
+/// past that clears it, since a client may send a 1 MiB script on every
+/// line.
+///
 /// The batch [`Engine`] builds one private workspace per worker. A
-/// `dopcert serve` daemon's workers hold [`Workspace::sibling`]s of one
-/// workspace, which share its query-level verdict memo, its plan memo
-/// and its mined catalog.
+/// `dopcert serve` daemon's pool holds [`Workspace::sibling`]s of one
+/// workspace, which share its response memo, its plan memo and its mined
+/// catalog.
 ///
 /// [`Workspace::execute`] answers a request whose *effective options
 /// differ* from the workspace's on fresh state ([`execute`]): a session
@@ -682,10 +692,53 @@ fn render_discoveries(found: &[Discovery]) -> Vec<String> {
 pub struct Workspace {
     pub(crate) prove: ProveSession,
     plan: PlanSession,
+    /// Answers of prove scripts run on this resident state, shared with
+    /// every sibling.
+    responses: Arc<Mutex<ResponseMemo>>,
     /// The catalog the last `mine` request produced, shared with every
     /// sibling. Until one runs, `mined-rules` requests search with the
     /// process-wide default catalog.
     mined: Arc<Mutex<Option<Arc<Vec<egraph::MinedRule>>>>>,
+}
+
+/// The most script plus response text, in bytes, a response memo holds;
+/// recording past it clears the memo. 2 MiB holds about a thousand
+/// one-goal scripts of 1–2 KB with their answers, while a stream of
+/// distinct 1 MiB scripts can pile up no more than 2 MiB.
+const RESPONSE_MEMO_BYTES: usize = 2 << 20;
+
+/// The answers of prove scripts, keyed by the full script text.
+#[derive(Debug, Default)]
+struct ResponseMemo {
+    goals: HashMap<String, Vec<GoalReport>>,
+    /// Script plus response text held, in bytes.
+    bytes: usize,
+}
+
+impl ResponseMemo {
+    /// The recorded answer to `script`.
+    fn lookup(&self, script: &str) -> Option<Vec<GoalReport>> {
+        self.goals.get(script).cloned()
+    }
+
+    /// Records `script`'s answer, first clearing the memo when the
+    /// answer would take it past [`RESPONSE_MEMO_BYTES`]. An answer
+    /// larger than the whole budget is not kept.
+    fn record(&mut self, script: &str, goals: &[GoalReport]) {
+        // Two siblings that missed on one script at once both record it.
+        if self.goals.contains_key(script) {
+            return;
+        }
+        let text: usize = goals.iter().map(|g| g.lhs.len() + g.outcome.len()).sum();
+        let bytes = script.len() + text;
+        if self.bytes + bytes > RESPONSE_MEMO_BYTES {
+            *self = ResponseMemo::default();
+        }
+        if bytes <= RESPONSE_MEMO_BYTES {
+            self.goals.insert(script.to_owned(), goals.to_vec());
+            self.bytes += bytes;
+        }
+    }
 }
 
 impl Workspace {
@@ -699,20 +752,22 @@ impl Workspace {
         Workspace {
             prove: ProveSession::new(opts),
             plan: PlanSession::new(opts.budget),
+            responses: Arc::default(),
             mined: Arc::default(),
         }
     }
 
-    /// A workspace at this one's options that shares its query-level
-    /// verdict memo, its plan memo and its mined catalog: a repeat is a
-    /// hit on either memo, and a `mine` request on one sets the catalog
-    /// of all. Everything else starts fresh and stays its own: the
-    /// denotation-level memo and its interner, the saturation goal memo
-    /// and the hit counters.
+    /// A workspace at this one's options that shares its response memo,
+    /// its plan memo and its mined catalog: a repeated prove script or
+    /// optimized query is a hit on either workspace, and a `mine` request
+    /// on one sets the catalog of all. Everything else starts fresh and
+    /// stays its own: the prove session (both verdict memo levels, the
+    /// interner and the saturation goal memo) and the hit counters.
     pub fn sibling(&self) -> Workspace {
         Workspace {
-            prove: self.prove.sibling(),
+            prove: ProveSession::new(self.prove.options()),
             plan: self.plan.sibling(),
+            responses: Arc::clone(&self.responses),
             mined: Arc::clone(&self.mined),
         }
     }
@@ -763,14 +818,16 @@ impl Workspace {
         optimizer::optimize(q, env, stats, opts, ctx)
     }
 
-    /// Total memo hits across the two sessions.
+    /// Total memo hits: the prove session's count, which response memo
+    /// hits add to, plus the plan session's.
     pub fn memo_hits(&self) -> usize {
         self.prove.verdict_hits() + self.plan.plan_hits()
     }
 
-    /// The live hit counters of the verdict memo and the plan memo: the
-    /// sessions add to them on every hit, so a clone taken once reads
-    /// this workspace's hits from another thread, mid-request.
+    /// The live hit counters of the prove session (verdict and response
+    /// memo hits, per goal) and the plan memo: the workspace adds to them
+    /// on every hit, so a clone taken once reads this workspace's hits
+    /// from another thread, mid-request.
     pub fn hit_counters(&self) -> [Arc<AtomicUsize>; 2] {
         [self.prove.hit_counter(), self.plan.hit_counter()]
     }
@@ -786,15 +843,33 @@ impl Workspace {
     /// options allow it, on fresh state otherwise (see type docs).
     pub fn execute(&mut self, req: &Request) -> Response {
         match req {
-            Request::Prove { script, opts } => {
-                let script = match parse_script(script) {
+            Request::Prove { script: text, opts } => {
+                // `budget_directives` reads what parsing would, so a
+                // repeat is answered before its script is parsed.
+                if opts.prove_options(budget_directives(text)) != self.prove.options() {
+                    return execute(req);
+                }
+                let hit = self
+                    .responses
+                    .lock()
+                    .expect("response memo lock")
+                    .lookup(text);
+                if let Some(goals) = hit {
+                    telemetry::count("memo.response.hit", 1);
+                    self.prove.count_hits(goals.len());
+                    return Response::Goals(goals);
+                }
+                telemetry::count("memo.response.miss", 1);
+                let script = match parse_script(text) {
                     Ok(s) => s,
                     Err(e) => return Response::Error(e.to_string()),
                 };
-                if opts.prove_options(script.budget) != self.prove.options() {
-                    return execute(req);
-                }
-                goals_response(&script, self.run_script(&script))
+                let goals = goal_reports(&script, self.run_script(&script));
+                self.responses
+                    .lock()
+                    .expect("response memo lock")
+                    .record(text, &goals);
+                Response::Goals(goals)
             }
             Request::Optimize { script, opts } => {
                 let script = match parse_script(script) {
@@ -878,7 +953,7 @@ pub fn execute(req: &Request) -> Response {
                 Err(e) => return Response::Error(e.to_string()),
             };
             let mut ws = Workspace::with_options(opts.prove_options(script.budget));
-            goals_response(&script, ws.run_script(&script))
+            Response::Goals(goal_reports(&script, ws.run_script(&script)))
         }
         Request::Optimize { script, opts } => {
             let script = match parse_script(script) {
@@ -913,21 +988,19 @@ pub fn execute(req: &Request) -> Response {
     }
 }
 
-/// Zips a script's goals with their outcomes into a response.
-fn goals_response(script: &Script, outcomes: Vec<GoalOutcome>) -> Response {
-    Response::Goals(
-        script
-            .goals
-            .iter()
-            .zip(outcomes)
-            .map(|(goal, outcome)| GoalReport {
-                expect_equivalent: goal.expect_equivalent,
-                satisfied: outcome.satisfies(goal.expect_equivalent),
-                lhs: goal.lhs.to_string(),
-                outcome: outcome.to_string(),
-            })
-            .collect(),
-    )
+/// Zips a script's goals with their outcomes into per-goal reports.
+fn goal_reports(script: &Script, outcomes: Vec<GoalOutcome>) -> Vec<GoalReport> {
+    script
+        .goals
+        .iter()
+        .zip(outcomes)
+        .map(|(goal, outcome)| GoalReport {
+            expect_equivalent: goal.expect_equivalent,
+            satisfied: outcome.satisfies(goal.expect_equivalent),
+            lhs: goal.lhs.to_string(),
+            outcome: outcome.to_string(),
+        })
+        .collect()
 }
 
 /// The optimize pipeline over a parsed script: every distinct goal
@@ -1072,6 +1145,82 @@ mod tests {
         assert_eq!(fresh.render(), first.render());
         assert_eq!(fresh.render(), second.render());
         assert!(ws.memo_hits() > 0, "repeat request must hit the memo");
+    }
+
+    /// A verify goal and a refute goal over one table, both in the
+    /// conjunctive fragment, so no verdict memo level sees them.
+    const DECIDED: &str = "table R(int, int);\n\
+        verify DISTINCT SELECT Right.Left FROM R \
+        == DISTINCT SELECT Right.Left.Left FROM R, R \
+        WHERE Right.Left.Left = Right.Right.Left;\n\
+        refute DISTINCT SELECT Right.Left FROM R == DISTINCT SELECT Right.Right FROM R;";
+
+    fn hunts() -> usize {
+        crate::script::HUNTS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn a_repeated_script_is_answered_from_the_response_memo() {
+        let req = Request::Prove {
+            script: DECIDED.into(),
+            opts: RequestOptions::default(),
+        };
+        let mut ws = Workspace::new(RequestOptions::default());
+        let first = ws.execute(&req);
+        assert!(first.ok(), "{:?}", first.render());
+        let (hits, hunted) = (ws.memo_hits(), hunts());
+        let second = ws.execute(&req);
+        assert_eq!(second.render(), first.render());
+        assert_eq!(ws.memo_hits() - hits, 2, "one hit per goal");
+        assert_eq!(hunts(), hunted, "the refute's witness hunt is not re-run");
+        assert_eq!(second.render(), execute(&req).render());
+    }
+
+    #[test]
+    fn a_script_differing_only_in_whitespace_misses_but_answers_the_same() {
+        let mut ws = Workspace::new(RequestOptions::default());
+        let first = ws.execute(&Request::Prove {
+            script: DECIDED.into(),
+            opts: RequestOptions::default(),
+        });
+        let hunted = hunts();
+        let spaced = ws.execute(&Request::Prove {
+            script: DECIDED.replace('\n', "\n\n"),
+            opts: RequestOptions::default(),
+        });
+        assert_eq!(spaced.render(), first.render());
+        assert_eq!(hunts(), hunted + 1, "the miss ran the hunt again");
+        let memo = ws.responses.lock().expect("response memo lock");
+        assert_eq!(memo.goals.len(), 2, "each text is its own entry");
+    }
+
+    #[test]
+    fn recording_past_the_byte_budget_clears_the_response_memo() {
+        let report = GoalReport {
+            expect_equivalent: true,
+            satisfied: true,
+            lhs: "R".into(),
+            outcome: "proved by tactics in 1 steps".into(),
+        };
+        let half = "-".repeat(RESPONSE_MEMO_BYTES / 2);
+        let (a, b) = (format!("a{half}"), format!("b{half}"));
+        let mut memo = ResponseMemo::default();
+        memo.record(&a, std::slice::from_ref(&report));
+        assert_eq!(memo.lookup(&a), Some(vec![report.clone()]));
+        // `a` and `b` together exceed the budget: recording `b` clears
+        // the memo first.
+        memo.record(&b, std::slice::from_ref(&report));
+        assert_eq!(memo.lookup(&a), None);
+        assert_eq!(memo.lookup(&b), Some(vec![report.clone()]));
+        assert_eq!(
+            memo.bytes,
+            b.len() + report.lhs.len() + report.outcome.len()
+        );
+        // An answer larger than the whole budget clears the memo and is
+        // not kept.
+        memo.record(&"-".repeat(RESPONSE_MEMO_BYTES + 1), &[]);
+        assert!(memo.goals.is_empty());
+        assert_eq!(memo.bytes, 0);
     }
 
     #[test]

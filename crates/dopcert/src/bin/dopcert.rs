@@ -34,9 +34,10 @@
 //!   saturation budget (iterations, e-nodes, oracle calls/iteration),
 //!   validated by the same [`BudgetSpec`] as script `budget` directives
 //!   and serve requests;
-//! - `--jobs N` / `-j N` — worker threads (catalog/optimize/serve);
-//!   each worker keeps one persistent session, and answers are the same
-//!   whatever the worker count;
+//! - `--jobs N` / `-j N` — worker threads (catalog/optimize), or the
+//!   resident workspaces in the daemon's pool (serve); each worker or
+//!   workspace keeps one persistent session, and answers are the same
+//!   whatever the count;
 //! - `--discover` — after `catalog` verification, saturate one
 //!   multi-seed discovery graph over every rule's sides and list the
 //!   equalities it proved between *different* rules' seeds;

@@ -150,7 +150,7 @@ impl Engine {
     /// certified optimizer, returning reports in input order. Budget
     /// comes from the engine's prove options. Each worker keeps one
     /// [`Workspace`]; reports are identical to calling
-    /// [`optimizer::optimize`] sequentially on fresh state.
+    /// [`optimizer::optimize()`] sequentially on fresh state.
     pub fn optimize_batch(
         &self,
         env: &QueryEnv,

@@ -1,7 +1,7 @@
 //! Subquery elimination rules: 2 rules.
 //!
 //! Correlated-subquery unnesting is the optimization family behind the
-//! classic nested-query bugs the paper cites ([17] in Sec. 1); both rules
+//! classic nested-query bugs the paper cites (\[17\] in Sec. 1); both rules
 //! here are staples of real optimizers.
 
 use crate::rule::{Category, Rule, RuleInstance, SchemaSource};

@@ -480,9 +480,18 @@ fn goal_outcome(
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Counterexample hunts started on this thread, so a test can tell
+    /// an answer replayed from a memo from a recomputed one.
+    pub(crate) static HUNTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Random-instance counterexample search (script schemas are concrete,
 /// so instances are built directly from the environment).
 fn hunt_counterexample(env: &QueryEnv, goal: &Goal) -> Option<String> {
+    #[cfg(test)]
+    HUNTS.with(|hunts| hunts.set(hunts.get() + 1));
     let rule_inst = RuleInstance::plain(env.clone(), goal.lhs.clone(), goal.rhs.clone());
     for seed in 0..400u64 {
         let instance = crate::difftest::build_instance(&rule_inst, seed);

@@ -1,19 +1,23 @@
 //! `dopcert serve`: the resident proving/optimization daemon.
 //!
 //! The server accepts newline-delimited JSON requests ([`crate::wire`])
-//! over plain TCP and puts them on one job queue that a fixed pool of
-//! worker threads takes from: whichever worker is free runs the next
-//! request, so no worker idles while a request waits. Each worker owns
-//! one resident [`Workspace`] (prove session + plan session), and the
-//! workspaces are [`Workspace::sibling`]s that share the query-level
-//! verdict memo, the plan memo and the mined catalog, so a repeated
-//! script is a memo hit whichever worker takes it — that is where the
+//! over plain TCP, one thread per connection, and keeps a pool of
+//! [`ServeConfig::workers`] resident [`Workspace`]s. The connection
+//! thread that read a request takes a free workspace from the pool, runs
+//! the request on it and puts it back, so a request crosses no thread
+//! hand-off, and at most one request per workspace runs at a time. While
+//! every workspace is held, a request waits for the next one put back;
+//! waiters are not served in arrival order. The workspaces are
+//! [`Workspace::sibling`]s that share the response memo, the plan memo
+//! and the mined catalog, so a repeated prove script or optimized query
+//! is a memo hit whichever workspace answers it — that is where the
 //! hit-rate reported by `stats` comes from — and a `mine` request on any
-//! worker sets the catalog every worker's `mined-rules` optimize
-//! requests search with. By the session-identity guarantee,
-//! every answer is byte-identical to a fresh single-shot CLI run of the
-//! same request (`tests/serve.rs` asserts this against
-//! [`crate::execute`]).
+//! workspace sets the catalog every `mined-rules` optimize request
+//! searches with. By the session-identity guarantee, every answer is
+//! byte-identical to a fresh single-shot CLI run of the same request
+//! (`tests/serve.rs` asserts this against [`crate::execute`]). A request
+//! that panics is answered with an error line, and a fresh sibling takes
+//! its workspace's place in the pool, so the pool never shrinks.
 //!
 //! Admission control is per *tenant* (the request's `tenant` field,
 //! default `"default"`): each prove/optimize/catalog/discover request
@@ -30,22 +34,22 @@
 //! arrives when it is full is charged to one shared overflow account.
 //!
 //! Observability is part of the protocol: every request's end-to-end
-//! latency lands in a per-request-kind histogram, each worker's memo
-//! hits are read *live* from its sessions' hit counters (mid-request,
-//! not only after a worker finishes), and a `metrics` request answers
-//! with a Prometheus-style text exposition combining these server-owned
-//! series (including the `dopcert_serve_queued` and
-//! `dopcert_serve_in_flight` gauges: requests waiting in the queue and
-//! requests a worker is running) with the process-wide [`telemetry`]
-//! snapshot (phase spans, memo counters).
+//! latency lands in a per-request-kind histogram, each workspace's memo
+//! hits are read *live* from its hit counters (mid-request, not only
+//! after a request finishes), and a `metrics` request answers with a
+//! Prometheus-style text exposition combining these server-owned series
+//! (including the `dopcert_serve_queued` and `dopcert_serve_in_flight`
+//! gauges: requests waiting for a free workspace and requests holding
+//! one) with the process-wide [`telemetry`] snapshot (phase spans, memo
+//! counters).
 //!
 //! Error handling is per request: a malformed line or rejected budget
 //! answers with an error *response* on the same connection — the
 //! connection stays open and subsequent lines are processed normally.
 //! A line longer than 1 MiB is answered with one error as soon as it
 //! outgrows that cap; the rest of it is skipped unbuffered.
-//! A `shutdown` request is acknowledged, then the listener and all
-//! workers drain and exit; [`Server::wait`] joins them.
+//! A `shutdown` request is acknowledged, then the listener and every
+//! connection drain and exit; [`Server::wait`] joins them.
 
 use crate::api::{
     BudgetSpec, KindLatency, Request, RequestOptions, Response, ServerStats, Workspace,
@@ -58,9 +62,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::Histogram;
@@ -95,9 +99,9 @@ pub struct ServeConfig {
     /// Listen address; port 0 picks a free port (the default —
     /// [`Server::local_addr`] reports what was bound).
     pub addr: String,
-    /// Worker threads taking requests from one queue, each with one
-    /// resident [`Workspace`]; the workspaces share their verdict and
-    /// plan memos.
+    /// Resident [`Workspace`]s in the pool, and so the most requests
+    /// that run at once; each runs on the thread of the connection that
+    /// sent it. The workspaces share their response and plan memos.
     pub workers: usize,
     /// Options resident workspaces are built at; requests that resolve
     /// to different effective options run on fresh state instead.
@@ -213,7 +217,7 @@ impl TenantLedger {
     }
 }
 
-/// State shared by the listener, every connection, and every worker.
+/// State shared by the listener and every connection.
 #[derive(Debug)]
 struct Shared {
     config: ServeConfig,
@@ -225,26 +229,37 @@ struct Shared {
     counters: Mutex<Counters>,
     /// Per-tenant admission accounts.
     tenants: Mutex<TenantLedger>,
-    /// Each worker's live memo-hit counters
+    /// The workspaces no request holds, each with its slot: the index
+    /// of its hit counters in `memo_hits`.
+    idle: Mutex<Vec<(usize, Workspace)>>,
+    /// Signalled each time a workspace goes back into `idle`.
+    returned: Condvar,
+    /// Each slot's live memo-hit counters
     /// ([`Workspace::hit_counters`]).
-    memo_hits: Vec<[Arc<AtomicUsize>; 2]>,
-    /// Requests waiting in the job queue.
+    memo_hits: Mutex<Vec<[Arc<AtomicUsize>; 2]>>,
+    /// Requests waiting for a free workspace.
     queued: AtomicUsize,
-    /// Requests a worker is running.
+    /// Requests holding a workspace.
     in_flight: AtomicUsize,
-    /// End-to-end request latency (µs) per request kind, including
-    /// queueing — the tail a client actually observes.
+    /// End-to-end request latency (µs) per request kind, including the
+    /// wait for a workspace — the tail a client actually observes.
     latency: Mutex<BTreeMap<&'static str, Histogram>>,
 }
 
-/// One worker's memo hits so far.
+/// One slot's memo hits so far.
 fn worker_hits(counters: &[Arc<AtomicUsize>; 2]) -> usize {
     counters.iter().map(|c| c.load(Ordering::Relaxed)).sum()
 }
 
 impl Shared {
+    /// Each slot's memo hits so far.
+    fn hits_by_worker(&self) -> Vec<usize> {
+        let counters = self.memo_hits.lock().expect("hit counters lock");
+        counters.iter().map(worker_hits).collect()
+    }
+
     fn stats(&self) -> ServerStats {
-        let by_worker: Vec<usize> = self.memo_hits.iter().map(worker_hits).collect();
+        let by_worker = self.hits_by_worker();
         let c = self.counters.lock().expect("counters lock");
         ServerStats {
             workers: self.config.workers,
@@ -311,10 +326,10 @@ impl Shared {
             bag.incr("serve.budget_rejections", c.budget_rejections as u64);
             bag.incr("serve.goals", c.goals as u64);
         }
-        for (slot, hits) in self.memo_hits.iter().enumerate() {
+        for (slot, hits) in self.hits_by_worker().into_iter().enumerate() {
             bag.incr(
                 &format!("serve.memo_hits{{worker=\"{slot}\"}}"),
-                worker_hits(hits) as u64,
+                hits as u64,
             );
         }
         {
@@ -333,12 +348,46 @@ impl Shared {
         }
         text
     }
-}
 
-/// A unit of work on the job queue: the request plus a reply slot.
-struct Job {
-    req: Request,
-    reply: Sender<Response>,
+    /// Runs `run` on a free workspace from the pool, first waiting for
+    /// one while every workspace is held. A panic inside `run` is
+    /// answered with an error, and a fresh sibling that carries on the
+    /// slot's hit counts goes back into the pool in place of the
+    /// workspace it may have left half-updated.
+    fn run_pooled(&self, run: impl FnOnce(&mut Workspace) -> Response) -> Response {
+        let (slot, mut workspace) = {
+            let mut idle = self.idle.lock().expect("pool lock");
+            if idle.is_empty() {
+                self.queued.fetch_add(1, Ordering::Relaxed);
+                idle = self
+                    .returned
+                    .wait_while(idle, |idle| idle.is_empty())
+                    .expect("pool lock");
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+            }
+            self.in_flight.fetch_add(1, Ordering::Relaxed);
+            idle.pop().expect("a free workspace")
+        };
+        let start = Instant::now();
+        let resp = match std::panic::catch_unwind(AssertUnwindSafe(|| run(&mut workspace))) {
+            Ok(resp) => resp,
+            Err(_) => {
+                let fresh = workspace.sibling();
+                let counters = fresh.hit_counters();
+                for (new, old) in counters.iter().zip(workspace.hit_counters()) {
+                    new.fetch_add(old.load(Ordering::Relaxed), Ordering::Relaxed);
+                }
+                self.memo_hits.lock().expect("hit counters lock")[slot] = counters;
+                workspace = fresh;
+                Response::Error("internal error: the request panicked".into())
+            }
+        };
+        self.count_response(&resp, start.elapsed().as_micros());
+        self.idle.lock().expect("pool lock").push((slot, workspace));
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.returned.notify_one();
+        resp
+    }
 }
 
 /// A running `dopcert serve` daemon. Dropping the handle does *not*
@@ -348,14 +397,12 @@ struct Job {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    jobs: Sender<Job>,
     listener_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the address and starts the listener and worker threads.
-    /// Enables process-wide telemetry metrics (if not already on) so
+    /// Binds the address, builds the workspace pool and starts the
+    /// listener thread. Enables process-wide telemetry metrics (if not already on) so
     /// the `metrics` exposition carries phase spans and memo counters,
     /// and per-rule attribution profiling so a `profile` request always
     /// has a table to answer with.
@@ -372,10 +419,11 @@ impl Server {
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let refill = config.refill;
-        // Every worker's workspace shares `root`'s verdict memo, plan
-        // memo and mined catalog; `stats` reads their hit counters.
+        // Every pooled workspace shares `root`'s response memo, plan memo
+        // and mined catalog; `stats` reads their hit counters.
         let root = Workspace::new(config.defaults);
-        let workspaces: Vec<Workspace> = (0..workers).map(|_| root.sibling()).collect();
+        let idle: Vec<(usize, Workspace)> = (0..workers).map(|s| (s, root.sibling())).collect();
+        let memo_hits = idle.iter().map(|(_, ws)| ws.hit_counters()).collect();
         let shared = Arc::new(Shared {
             config: ServeConfig { workers, ..config },
             addr,
@@ -383,39 +431,15 @@ impl Server {
             shutdown: AtomicBool::new(false),
             counters: Mutex::new(Counters::default()),
             tenants: Mutex::new(TenantLedger::new(refill)),
-            memo_hits: workspaces.iter().map(Workspace::hit_counters).collect(),
+            idle: Mutex::new(idle),
+            returned: Condvar::new(),
+            memo_hits: Mutex::new(memo_hits),
             latency: Mutex::new(BTreeMap::new()),
             queued: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
         });
 
-        // One queue feeds every worker.
-        let (jobs, queue) = channel::<Job>();
-        let queue = Arc::new(Mutex::new(queue));
-        let mut worker_threads = Vec::with_capacity(workers);
-        for mut workspace in workspaces {
-            let queue = Arc::clone(&queue);
-            let shared = Arc::clone(&shared);
-            worker_threads.push(std::thread::spawn(move || loop {
-                // The lock is held while waiting for the next job and
-                // released before running it. The queue ends once every
-                // sender is gone.
-                let next = queue.lock().expect("job queue lock").recv();
-                let Ok(job) = next else { break };
-                shared.queued.fetch_sub(1, Ordering::Relaxed);
-                shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                let start = Instant::now();
-                let resp = workspace.execute(&job.req);
-                shared.count_response(&resp, start.elapsed().as_micros());
-                shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                // A dropped receiver means the client hung up
-                // mid-request; the work is already counted.
-                let _ = job.reply.send(resp);
-            }));
-        }
-
         let listener_shared = Arc::clone(&shared);
-        let listener_jobs = jobs.clone();
         let listener_thread = std::thread::spawn(move || {
             let mut connections = Vec::new();
             for stream in listener.incoming() {
@@ -424,12 +448,11 @@ impl Server {
                 }
                 let Ok(stream) = stream else { continue };
                 let shared = Arc::clone(&listener_shared);
-                let jobs = listener_jobs.clone();
                 // Dropping a finished connection's handle releases its
                 // stack; `wait` joins the ones still open.
                 connections.retain(|conn: &JoinHandle<()>| !conn.is_finished());
                 connections.push(std::thread::spawn(move || {
-                    serve_connection(stream, &shared, &jobs);
+                    serve_connection(stream, &shared);
                 }));
             }
             connections
@@ -438,9 +461,7 @@ impl Server {
         Ok(Server {
             addr,
             shared,
-            jobs,
             listener_thread: Some(listener_thread),
-            worker_threads,
         })
     }
 
@@ -466,28 +487,16 @@ impl Server {
         request_shutdown(&self.shared, self.addr);
     }
 
-    /// Blocks until the listener, every connection, and every worker
-    /// have exited. Call after [`Server::shutdown`] or after a client
-    /// sent a `shutdown` request.
-    pub fn wait(self) {
-        let Server {
-            jobs,
-            listener_thread,
-            worker_threads,
-            ..
-        } = self;
-        if let Some(listener) = listener_thread {
+    /// Blocks until the listener and every connection have exited. Call
+    /// after [`Server::shutdown`] or after a client sent a `shutdown`
+    /// request.
+    pub fn wait(mut self) {
+        if let Some(listener) = self.listener_thread.take() {
             if let Ok(connections) = listener.join() {
                 for conn in connections {
                     let _ = conn.join();
                 }
             }
-        }
-        // Workers exit once every sender is gone (the listener and the
-        // connections held clones, and they have all exited by now).
-        drop(jobs);
-        for worker in worker_threads {
-            let _ = worker.join();
         }
     }
 }
@@ -501,7 +510,7 @@ fn request_shutdown(shared: &Shared, addr: SocketAddr) {
 
 /// One connection's read loop: one request per line, one response line
 /// per request, until EOF or shutdown.
-fn serve_connection(stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     // Reads wake up periodically to poll the shutdown flag; a timeout
     // mid-line keeps the partial line in `line` and resumes appending.
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
@@ -556,7 +565,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) {
                 return;
             };
             if !text.trim().is_empty() {
-                let reply = answer_line(text.trim(), shared, jobs);
+                let reply = answer_line(text.trim(), shared);
                 if send_line(&mut writer, &reply).is_err() {
                     return;
                 }
@@ -586,16 +595,18 @@ fn reject_overlong(shared: &Shared) -> String {
 }
 
 /// Answers one request line, recording its end-to-end latency
-/// (decode through response, queueing included) under its kind.
-fn answer_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> String {
+/// (decode through response, waiting for a workspace included) under
+/// its kind.
+fn answer_line(line: &str, shared: &Shared) -> String {
     let start = Instant::now();
-    let (kind, reply) = handle_line(line, shared, jobs);
+    let (kind, reply) = handle_line(line, shared);
     shared.record_latency(kind, start.elapsed().as_micros() as u64);
     reply
 }
 
-/// One request line's actual handling: decode, admit, queue, encode.
-fn handle_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> (&'static str, String) {
+/// One request line's actual handling: decode, admit, run on a pooled
+/// workspace, encode.
+fn handle_line(line: &str, shared: &Shared) -> (&'static str, String) {
     shared.counters.lock().expect("counters lock").requests += 1;
     let (id, tenant, req) = match decode_request(line) {
         Ok(parts) => parts,
@@ -609,8 +620,8 @@ fn handle_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> (&'static str
     };
     let kind = req.kind();
 
-    // Control requests are answered inline — they must work even when
-    // every worker is busy proving.
+    // Control requests need no workspace — they must answer even when
+    // every workspace is held.
     match req {
         Request::Stats => {
             let resp = Response::Stats(shared.stats());
@@ -623,9 +634,9 @@ fn handle_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> (&'static str
             return (kind, encode_response(&id, &resp));
         }
         Request::Profile => {
-            // The process-wide profile is already merged across worker
-            // flushes; snapshotting it here costs one lock, not a trip
-            // through the (possibly busy) worker pool.
+            // The process-wide profile is already merged across thread
+            // flushes; snapshotting it here costs one lock, not a wait
+            // for a free workspace.
             let resp = Response::Profile(telemetry::profile_snapshot());
             shared.counters.lock().expect("counters lock").ok += 1;
             return (kind, encode_response(&id, &resp));
@@ -665,32 +676,8 @@ fn handle_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> (&'static str
         return (kind, encode_response(&id, &Response::Error(rejection)));
     }
 
-    let (reply_tx, reply_rx) = channel();
-    // Counted before the send, so a worker never takes a job the gauge
-    // has not counted yet.
-    shared.queued.fetch_add(1, Ordering::Relaxed);
-    let job = Job {
-        req,
-        reply: reply_tx,
-    };
-    if jobs.send(job).is_err() {
-        shared.queued.fetch_sub(1, Ordering::Relaxed);
-        shared.counters.lock().expect("counters lock").errors += 1;
-        return (
-            kind,
-            encode_response(&id, &Response::Error("server is shutting down".into())),
-        );
-    }
-    match reply_rx.recv() {
-        Ok(resp) => (kind, encode_response(&id, &resp)),
-        Err(_) => {
-            shared.counters.lock().expect("counters lock").errors += 1;
-            (
-                kind,
-                encode_response(&id, &Response::Error("server is shutting down".into())),
-            )
-        }
-    }
+    let resp = shared.run_pooled(|workspace| workspace.execute(&req));
+    (kind, encode_response(&id, &resp))
 }
 
 /// Per-tenant admission control: charges the request's effective
@@ -699,7 +686,7 @@ fn handle_line(line: &str, shared: &Shared, jobs: &Sender<Job>) -> (&'static str
 fn admit(tenant: &str, req: &Request, shared: &Shared) -> Result<(), String> {
     let iters = match req {
         Request::Prove { script, opts } | Request::Optimize { script, opts } => {
-            // What the worker will run under: request knobs over the
+            // What the request will run under: request knobs over the
             // script's `budget` directives over the defaults.
             opts.prove_options(budget_directives(script))
                 .budget
@@ -788,6 +775,52 @@ mod tests {
         let reply = request_once(&addr, &Json::Num(1.0), "default", &req).expect("request");
         assert!(reply.ok, "{reply:?}");
         assert_eq!(reply.lines, execute(&req).render());
+        server.shutdown();
+        server.wait();
+    }
+
+    #[test]
+    fn a_panicking_request_gets_an_error_and_leaves_the_pool_whole() {
+        let server = Server::start(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let addr = server.local_addr().to_string();
+        let req = Request::Prove {
+            script: "table R(int);\nverify (R UNION ALL R) == (R UNION ALL R);".into(),
+            opts: RequestOptions::default(),
+        };
+        for _ in 0..2 {
+            let reply = request_once(&addr, &Json::Null, "default", &req).expect("request");
+            assert!(reply.ok, "{reply:?}");
+        }
+        let hits = server.stats().memo_hits;
+        assert!(hits >= 1);
+        // More panics than workspaces: each one's workspace is replaced.
+        let shared = &server.shared;
+        for _ in 0..3 {
+            let resp = shared.run_pooled(|_| panic!("injected panic"));
+            assert!(
+                matches!(&resp, Response::Error(e) if e.contains("panicked")),
+                "{resp:?}"
+            );
+            assert_eq!(shared.queued.load(Ordering::Relaxed), 0);
+            assert_eq!(shared.in_flight.load(Ordering::Relaxed), 0);
+            assert_eq!(shared.idle.lock().expect("pool lock").len(), 2);
+        }
+        let stats = server.stats();
+        assert_eq!(
+            stats.memo_hits, hits,
+            "replaced slots keep their hit counts"
+        );
+        assert_eq!(stats.errors, 3);
+        // The next request runs on the refilled pool, and the response
+        // memo the replaced workspaces shared still answers it.
+        let reply = request_once(&addr, &Json::Null, "default", &req).expect("request");
+        assert!(reply.ok, "{reply:?}");
+        assert_eq!(reply.lines, execute(&req).render());
+        assert!(server.stats().memo_hits > hits);
         server.shutdown();
         server.wait();
     }
@@ -1106,8 +1139,9 @@ mod tests {
             value.parse::<f64>().unwrap_or_else(|_| panic!("{line}"));
         }
 
-        // Live memo hits: the repeated script was a memo hit on its
-        // worker, visible in `stats` per worker and in total.
+        // Live memo hits: the repeated script was a memo hit on the
+        // workspace that answered it, visible in `stats` per workspace
+        // and in total.
         let stats = server.stats();
         assert!(stats.memo_hits >= 1, "{stats:?}");
         assert_eq!(

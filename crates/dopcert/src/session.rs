@@ -6,20 +6,21 @@
 //! its whole shard. A session is bound to one set of [`ProveOptions`] and
 //! layers a two-level *verdict memo* over the e-graph session's goal
 //! memo. The outer level keys on the surface query pair + table
-//! environment and answers before the pipeline runs at all. It may be
-//! shared: [`ProveSession::sibling`] hands another worker a session over
-//! the same outer memo, which is how a `dopcert serve` daemon's workers
-//! answer each other's repeats. The inner level, the goal memo and the
-//! hit counter stay per session. The inner level keys on
-//! the raw denotations (which are deterministic per query pair — every
-//! instance denotes over a fresh `VarGen`) and catches distinct query
-//! texts with equal denotations. The recorded answer is the full
-//! [`verify_instance`](crate::prove::verify_instance) result — method,
-//! step count, attempted list, or failure diagnostics. Because the
+//! environment and answers before the pipeline runs at all. The inner
+//! level keys on the raw denotations (which are deterministic per query
+//! pair — every instance denotes over a fresh `VarGen`) and catches
+//! distinct query texts with equal denotations. The recorded answer is
+//! the full [`verify_instance`](crate::prove::verify_instance) result —
+//! method, step count, attempted list, or failure diagnostics. Because the
 //! underlying pipeline is deterministic, a memo hit is byte-identical to
 //! recomputation; repeated goals across a batch (the common case in
 //! production query traffic) skip denotation, type inference,
 //! normalization, tactics, and saturation entirely.
+//!
+//! Every level is the session's own: nothing here is shared between
+//! workers. A `dopcert serve` daemon's workers answer each other's
+//! repeated scripts one level up, from the response memo their
+//! [`Workspace`](crate::api::Workspace)s share.
 //!
 //! The embedded [`egraph::Session`] memoizes the saturation step's
 //! goal-closing searches. Cross-rule discovery ([`discover_catalog`],
@@ -34,7 +35,7 @@ use hottsql::ast::Query;
 use relalg::Schema;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use uninomial::normalize::{normalize, Trace};
 use uninomial::syntax::intern::{Interner, UExprId};
 use uninomial::UExpr;
@@ -65,10 +66,9 @@ fn query_key(inst: &RuleInstance) -> QueryKey {
 /// session's goal memo.
 ///
 /// The query-level memo is the hot-path layer: a repeated goal is
-/// answered before any denotation or type inference runs, and
-/// [`ProveSession::sibling`]s share it. The denotation-level memo stays
-/// underneath it to catch distinct query texts that denote to the same
-/// trees.
+/// answered before any denotation or type inference runs. The
+/// denotation-level memo stays underneath it to catch distinct query
+/// texts that denote to the same trees.
 #[derive(Debug)]
 pub struct ProveSession {
     /// The saturation session the goal-closing searches run on.
@@ -79,10 +79,10 @@ pub struct ProveSession {
     opts: ProveOptions,
     interner: Interner,
     verdicts: HashMap<(UExprId, UExprId), Verdict>,
-    /// The query-level memo, shared with every sibling session.
-    query_verdicts: Arc<Mutex<HashMap<QueryKey, Verdict>>>,
-    /// Goals answered from either memo level; see
-    /// [`ProveSession::hit_counter`].
+    /// The query-level memo.
+    query_verdicts: HashMap<QueryKey, Verdict>,
+    /// Goals answered from either memo level, or from the workspace's
+    /// response memo above them; see [`ProveSession::hit_counter`].
     hits: Arc<AtomicUsize>,
 }
 
@@ -95,18 +95,8 @@ impl ProveSession {
             opts,
             interner: Interner::new(),
             verdicts: HashMap::new(),
-            query_verdicts: Arc::default(),
+            query_verdicts: HashMap::new(),
             hits: Arc::default(),
-        }
-    }
-
-    /// A session at this one's options that shares its query-level
-    /// memo, with every other part fresh: the denotation-level memo and
-    /// its interner, the goal memo and the hit counter.
-    pub fn sibling(&self) -> ProveSession {
-        ProveSession {
-            query_verdicts: Arc::clone(&self.query_verdicts),
-            ..ProveSession::new(self.opts)
         }
     }
 
@@ -115,7 +105,8 @@ impl ProveSession {
         self.opts
     }
 
-    /// Number of goals answered from the verdict memo.
+    /// Number of goals answered from the verdict memo or, above it,
+    /// from the workspace's response memo.
     pub fn verdict_hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
@@ -125,6 +116,12 @@ impl ProveSession {
     /// observer sees progress mid-request.
     pub(crate) fn hit_counter(&self) -> Arc<AtomicUsize> {
         Arc::clone(&self.hits)
+    }
+
+    /// Counts `goals` answered above this session, by the workspace's
+    /// response memo, as hits.
+    pub(crate) fn count_hits(&self, goals: usize) {
+        self.hits.fetch_add(goals, Ordering::Relaxed);
     }
 
     /// Looks up the recorded verdict for a goal with these denotations,
@@ -168,13 +165,7 @@ impl ProveSession {
         if opts != self.opts || !inst.axioms.is_empty() {
             return None;
         }
-        let key = query_key(inst);
-        let hit = self
-            .query_verdicts
-            .lock()
-            .expect("verdict memo lock")
-            .get(&key)
-            .cloned();
+        let hit = self.query_verdicts.get(&query_key(inst)).cloned();
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             telemetry::count("memo.verdict.hit", 1);
@@ -188,11 +179,7 @@ impl ProveSession {
         if opts != self.opts || !inst.axioms.is_empty() {
             return;
         }
-        let key = query_key(inst);
-        self.query_verdicts
-            .lock()
-            .expect("verdict memo lock")
-            .insert(key, verdict);
+        self.query_verdicts.insert(query_key(inst), verdict);
     }
 }
 
@@ -286,22 +273,6 @@ mod tests {
             s.record_query(&inst, opts, Ok((VerifyMethod::Saturation, 1, vec![])));
             assert!(s.lookup_query(&inst, opts).is_none());
         }
-    }
-
-    #[test]
-    fn siblings_share_the_query_level_memo_only() {
-        let opts = ProveOptions::default();
-        let mut a = ProveSession::new(opts);
-        let mut b = a.sibling();
-        let inst = catalog::sound_rules()[0].generic();
-        a.record_query(&inst, opts, Ok((VerifyMethod::Saturation, 7, vec![])));
-        let hit = b.lookup_query(&inst, opts).expect("shared");
-        assert_eq!(hit.unwrap().1, 7);
-        assert_eq!((a.verdict_hits(), b.verdict_hits()), (0, 1));
-        // The denotation-level memo is the session's own.
-        let el = UExpr::rel("R", uninomial::syntax::Term::Unit);
-        a.record(&el, &el, opts, Ok((VerifyMethod::CqDecision, 1, vec![])));
-        assert!(b.lookup(&el, &el, opts).is_none());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! bytes). `mine`
 //! takes optional `seed` and `count` integers; `optimize` accepts
 //! `"mined-rules": true` to search with the daemon's mined catalog.
-//! Budget knobs are validated by the same [`BudgetSpec`] the CLI flags
+//! Budget knobs are validated by the same [`BudgetSpec`](crate::api::BudgetSpec) the CLI flags
 //! and script directives go through.
 //!
 //! Response object:

@@ -93,6 +93,57 @@ fn concurrent_clients_get_answers_bit_identical_to_the_fresh_cli() {
 }
 
 #[test]
+fn more_clients_than_workspaces_are_all_answered_like_the_fresh_cli() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let scripts = scripts();
+    let expected: Vec<Vec<String>> = scripts.iter().map(|s| baseline(s)).collect();
+
+    // Six kept-open connections share two workspaces: four of them wait
+    // for a free workspace whenever all six have a request in.
+    let clients = 6;
+    std::thread::scope(|scope| {
+        for client in 0..clients {
+            let (addr, scripts, expected) = (&addr, &scripts, &expected);
+            scope.spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                let mut writer = stream.try_clone().expect("clone");
+                let mut reader = BufReader::new(stream);
+                for (i, script) in scripts.iter().enumerate() {
+                    let req = Request::Prove {
+                        script: script.clone(),
+                        opts: RequestOptions::default(),
+                    };
+                    let id = Json::Num((client * 100 + i) as f64);
+                    let line = encode_request(&id, "default", &req);
+                    writer
+                        .write_all(format!("{line}\n").as_bytes())
+                        .expect("write");
+                    let mut reply = String::new();
+                    reader.read_line(&mut reply).expect("read");
+                    let reply = decode_response(reply.trim()).expect("decode");
+                    assert_eq!(reply.id, id);
+                    assert_eq!(reply.lines, expected[i]);
+                }
+            });
+        }
+    });
+
+    let stats = server.stats();
+    assert_eq!(stats.requests, clients * scripts.len());
+    assert_eq!(stats.ok, clients * scripts.len());
+    let text = server.metrics_text();
+    assert!(text.contains("dopcert_serve_queued 0\n"), "{text}");
+    assert!(text.contains("dopcert_serve_in_flight 0\n"), "{text}");
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn malformed_and_over_budget_requests_fail_without_poisoning_the_connection() {
     let config = ServeConfig {
         tenant_budget: BatchBudget {

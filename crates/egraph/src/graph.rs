@@ -10,10 +10,11 @@
 //! rebuild loop itself; the searching rewrites in [`crate::rewrite`]
 //! only handle the laws that genuinely change term structure.
 //!
-//! Internally nodes are stored in the compact, `Copy` form of
-//! [`crate::arena`]: interned payloads plus child-list views into a
-//! shared flat arena, so hashcons lookups, class appends, and parent
-//! registration move handles instead of deep-cloning [`ENode`]s, and
+//! Internally nodes are stored in the compact, `Copy` form of the
+//! crate's private `arena` module: interned payloads plus child-list
+//! views into a shared flat arena, so hashcons lookups, class appends,
+//! and parent registration move handles instead of deep-cloning
+//! [`ENode`]s, and
 //! congruence hashing is a handle hash (the slice hash is paid once at
 //! span interning). The public API still speaks [`ENode`].
 //!

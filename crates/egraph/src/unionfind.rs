@@ -4,9 +4,9 @@
 //! extended with the *proof forest* of Nieuwenhuis and Oliveras: every
 //! [`union`](UnionFind::union) records a justification edge between the
 //! two ids it was asked to merge (not their representatives), in a
-//! second, never-compressed parent structure. [`explain`]
-//! (UnionFind::explain) later recovers, for any two equivalent ids, the
-//! chain of justifications that merged them — the skeleton of an
+//! second, never-compressed parent structure.
+//! [`explain`](UnionFind::explain) later recovers, for any two equivalent
+//! ids, the chain of justifications that merged them — the skeleton of an
 //! auditable proof.
 //!
 //! Justifications carry the trusted [`Lemma`] that licensed the union,

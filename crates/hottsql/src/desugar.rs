@@ -4,7 +4,7 @@
 //! primitives but as *syntactic rewrites* into the core language:
 //!
 //! - `GROUP BY` desugars to a `DISTINCT` projection with a correlated
-//!   aggregate subquery (Sec. 4.2, after Buneman et al. [6]);
+//!   aggregate subquery (Sec. 4.2, after Buneman et al. \[6\]);
 //! - `A SEMIJOIN B ON θ` desugars to
 //!   `SELECT * FROM A WHERE EXISTS (SELECT * FROM B WHERE θ)` (Sec. 5.1.3);
 //! - `LEFT OUTER JOIN` desugars to an inner join unioned with the

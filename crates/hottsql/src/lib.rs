@@ -7,7 +7,7 @@
 //! `CASTEXPR`). This crate implements:
 //!
 //! - [`ast`] — the abstract syntax of Fig. 5;
-//! - [`env`] — declaration environments for tables and meta-variables;
+//! - [`env`](mod@env) — declaration environments for tables and meta-variables;
 //! - [`ty`] — the context-schema type system (`Γ ⊢ q : σ`, Fig. 7's
 //!   typing side);
 //! - [`parse`] — a recursive-descent parser for the paper's concrete

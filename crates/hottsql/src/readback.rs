@@ -1,7 +1,7 @@
 //! Readback: from a UniNomial normal form back to a HoTTSQL query.
 //!
 //! The certified optimizer works on denotations — it saturates and
-//! extracts [`UExpr`]s — but must ship *plans*, i.e. [`Query`] syntax.
+//! extracts [`UExpr`](uninomial::UExpr)s — but must ship *plans*, i.e. [`Query`] syntax.
 //! This module inverts Fig. 7 on the sum-product normal forms
 //! ([`Spnf`]) the pipeline produces:
 //!

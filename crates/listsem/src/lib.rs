@@ -1,6 +1,6 @@
 //! The list-semantics baseline (Sec. 2, "List Semantics").
 //!
-//! Prior mechanized SQL semantics ([35], [53], [54] in the paper)
+//! Prior mechanized SQL semantics (\[35\], \[53\], \[54\] in the paper)
 //! interpret relations as *lists* and queries as recursive functions over
 //! lists; two queries are equivalent when their outputs are equal up to
 //! permutation (bag semantics) or up to permutation and duplicate

@@ -1,4 +1,4 @@
-//! Index-as-relation (Sec. 4.2, after Tsatalos et al. [49]).
+//! Index-as-relation (Sec. 4.2, after Tsatalos et al. \[49\]).
 //!
 //! The paper treats an index not as a physical data structure but as a
 //! *logical relation*: given a key projection `k` of `R` and an indexed

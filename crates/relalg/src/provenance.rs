@@ -1,4 +1,4 @@
-//! Provenance semirings: the general K-relations of Green et al. [23].
+//! Provenance semirings: the general K-relations of Green et al. \[23\].
 //!
 //! The paper's semantics instantiates K-relations at cardinals; the
 //! original framework interprets relations over *any* commutative

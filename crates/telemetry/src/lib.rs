@@ -15,8 +15,8 @@
 //!    ([`clock::set_manual`]), so histogram and trace tests assert exact
 //!    numbers instead of sleeping.
 //!
-//! Data model: per-thread [`recorder::Recorder`] state accumulates named
-//! counters and log₂-bucketed [`hist::Histogram`]s plus (when tracing is
+//! Data model: per-thread recorder state accumulates named counters
+//! and log₂-bucketed [`hist::Histogram`]s plus (when tracing is
 //! on) Chrome trace events; it is merged into a process-wide sink when the
 //! outermost span of a thread closes and when the thread exits. The sink
 //! can be snapshotted ([`recorder::snapshot`]), rendered as

@@ -1,6 +1,6 @@
 //! Offline, std-only shim of the `proptest` API surface this workspace
-//! uses: the [`proptest!`] macro with per-block [`ProptestConfig`],
-//! `in`-bound strategies over integer ranges, [`Just`], [`prop_oneof!`]
+//! uses: the [`proptest!`] macro with per-block [`ProptestConfig`](prelude::ProptestConfig),
+//! `in`-bound strategies over integer ranges, [`Just`](strategy::Just), [`prop_oneof!`]
 //! with weights, `prop_map`, and the `prop_assert*` macros.
 //!
 //! The build environment has no network access to crates.io, so the real
